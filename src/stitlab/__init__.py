@@ -16,6 +16,7 @@ from .capacity import (
     mc_missing,
     missing_probability,
     pool,
+    replicate_first_hits,
 )
 from .geometry import (
     CompactSet,
@@ -53,6 +54,7 @@ from .measure import (
 )
 from .mixing import (
     MixingRow,
+    NoPowerLawError,
     SweepConfig,
     closed_form_error_bound,
     fit_decay_exponent,
@@ -63,12 +65,15 @@ from .mixing import (
 from .stit import (
     Cell,
     Edge,
+    HitQuery,
     SimulationParams,
     Tessellation,
+    first_hit,
     first_hit_time,
     hits_internal,
     mix_seed,
     nest,
+    require_interior,
     rescale,
     restrict,
     simulate,

@@ -6,6 +6,12 @@ functional, and seeded Monte Carlo estimators with Bernoulli standard
 errors for everything else. Replications are coupled through per-replicate
 seeds derived from (seed, index), so estimates are reproducible and
 mergeable.
+
+Every estimator runs through one replication loop, ``replicate_first_hits``.
+Each replicate asks only when a division chord first meets the query
+bodies, so it expands only the cells that meet them and stops at the first
+hitting chord (``stit.HitQuery``). Per seed, the result is bit-identical to
+simulating the whole tessellation of the window and scanning its chords.
 """
 
 from __future__ import annotations
@@ -15,19 +21,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import (
-    CompactSet,
-    ConvexPolygon,
-    EPS,
-    GeometryError,
-    convex_hull,
-    diameter,
-    dilate,
-    hull_of,
-    interior_clearance,
-)
+from .geometry import CompactSet, ConvexPolygon, convex_hull, diameter, dilate, hull_of
 from .measure import DirectionalMeasure, hit_mass
-from .stit import SimulationParams, first_hit_time, hits_internal, mix_seed, simulate
+from .stit import HitQuery, SimulationParams, first_hit_time, mix_seed, simulate
 
 Body = ConvexPolygon | CompactSet
 
@@ -99,12 +95,36 @@ def default_window(body: Body, margin_fraction: float = 0.1) -> ConvexPolygon:
     return dilate(hull, margin_fraction * d if d > 0.0 else 1.0)
 
 
-def _check_interior(window: ConvexPolygon, body: Body) -> None:
-    pieces = (body,) if isinstance(body, ConvexPolygon) else body.pieces
-    for piece in pieces:
-        for v in piece.vertices:
-            if interior_clearance(window, v) <= EPS:
-                raise GeometryError("query set must be interior to the window")
+def replicate_first_hits(
+    bodies: Sequence[Body],
+    time: float,
+    measure: DirectionalMeasure,
+    n: int,
+    seed: int,
+    window: ConvexPolygon,
+    variant: str = "cell-rate",
+) -> list[float]:
+    """When a division chord first meets any of the bodies, in each of n runs.
+
+    Run i has seed mix_seed(seed, i); a run in which no chord meets a body
+    by the time parameter gives inf. The production ("cell-rate")
+    construction answers through ``stit.HitQuery``: the bodies are checked
+    once to lie in the window's interior, and each run expands only the
+    cells that meet them and stops at the first hitting chord. The
+    reference ("window-tree") construction simulates every whole
+    tessellation.
+    """
+    if variant == "cell-rate":
+        query = HitQuery(window, bodies)
+        return [query.first_hit(time, measure, mix_seed(seed, i)) for i in range(n)]
+    taus = []
+    for i in range(n):
+        tess = simulate(
+            SimulationParams(window=window, time=time, measure=measure, seed=mix_seed(seed, i)),
+            variant=variant,
+        )
+        taus.append(min(first_hit_time(tess, body) for body in bodies))
+    return taus
 
 
 def mc_missing(
@@ -120,15 +140,8 @@ def mc_missing(
         raise ValueError("need at least one replication")
     if window is None:
         window = default_window(body)
-    _check_interior(window, body)
-    misses = 0
-    for i in range(n):
-        tess = simulate(
-            SimulationParams(window=window, time=time, measure=measure, seed=mix_seed(seed, i))
-        )
-        if not hits_internal(tess, body):
-            misses += 1
-    return _bernoulli(misses, n, seed)
+    taus = replicate_first_hits([body], time, measure, n, seed, window)
+    return _bernoulli(taus.count(math.inf), n, seed)
 
 
 def mc_joint(
@@ -146,16 +159,8 @@ def mc_joint(
     if window is None:
         verts = list(hull_of(body_a).vertices) + list(hull_of(body_b).vertices)
         window = default_window(convex_hull(verts))
-    _check_interior(window, body_a)
-    _check_interior(window, body_b)
-    both = 0
-    for i in range(n):
-        tess = simulate(
-            SimulationParams(window=window, time=time, measure=measure, seed=mix_seed(seed, i))
-        )
-        if not hits_internal(tess, body_a) and not hits_internal(tess, body_b):
-            both += 1
-    return _bernoulli(both, n, seed)
+    taus = replicate_first_hits([body_a, body_b], time, measure, n, seed, window)
+    return _bernoulli(taus.count(math.inf), n, seed)
 
 
 @dataclass(frozen=True)
@@ -191,8 +196,8 @@ def increment_check(
 ) -> IncrementReport:
     """Estimate T(a + t) - T(a) with coupled horizons.
 
-    Each replicate simulates once to a + t; the per-cell streams make the
-    time-a tessellation an exact prefix, so the first-hit time yields both
+    Each replicate runs the process once to a + t; the per-cell streams make
+    the time-a tessellation an exact prefix, so the first-hit time yields both
     indicators and the sampled increment is non-negative by construction.
     The bound column is t times the capacity growth bound at time a.
     """
@@ -200,18 +205,9 @@ def increment_check(
         raise ValueError("time step must be >= 0")
     if window is None:
         window = default_window(body)
-    _check_interior(window, body)
-    hits_in_gap = 0
-    for i in range(n):
-        tess = simulate(
-            SimulationParams(
-                window=window, time=time_a + time_step, measure=measure, seed=mix_seed(seed, i)
-            )
-        )
-        tau = first_hit_time(tess, body)
-        if time_a < tau <= time_a + time_step:
-            hits_in_gap += 1
-    est = _bernoulli(hits_in_gap, n, seed)
+    horizon = time_a + time_step
+    taus = replicate_first_hits([body], horizon, measure, n, seed, window)
+    est = _bernoulli(sum(time_a < tau <= horizon for tau in taus), n, seed)
     bound = time_step * capacity_growth_bound(body, time_a, measure)
     rate = est.mean / time_step if time_step > 0.0 else 0.0
     return IncrementReport(

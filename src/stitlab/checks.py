@@ -9,12 +9,19 @@ count as failures, so the CLI can emit a machine-readable report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
-from .capacity import capacity_growth_bound, increment_check, mc_missing, missing_probability
+from .capacity import (
+    capacity_growth_bound,
+    increment_check,
+    mc_missing,
+    missing_probability,
+    replicate_first_hits,
+)
 from .geometry import (
     CompactSet,
     ConvexPolygon,
@@ -54,9 +61,12 @@ E1 = Direction(1.0, 0.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check; ``elapsed_s`` is reported but not compared."""
+
     name: str
     ok: bool
     detail: str
+    elapsed_s: float = field(default=0.0, compare=False)
 
 
 def _random_polygon(rng: np.random.Generator, scale: float = 1.0) -> ConvexPolygon:
@@ -329,15 +339,8 @@ def check_svg_renders() -> tuple[bool, str]:
 
 
 def _missing_fraction(window, body, time, measure, n, seed, variant="cell-rate"):
-    miss = 0
-    for i in range(n):
-        t = simulate(
-            SimulationParams(window=window, time=time, measure=measure, seed=mix_seed(seed, i)),
-            variant=variant,
-        )
-        if not hits_internal(t, body):
-            miss += 1
-    return miss / n
+    taus = replicate_first_hits([body], time, measure, n, seed, window, variant=variant)
+    return taus.count(math.inf) / n
 
 
 def check_mc_matches_analytic() -> tuple[bool, str]:
@@ -473,9 +476,11 @@ def run_suite(suite: str) -> list[CheckResult]:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     results = []
     for name, fn in SUITES[suite].items():
+        start = perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, ok=ok, detail=detail))
+        elapsed = perf_counter() - start
+        results.append(CheckResult(name=name, ok=ok, detail=detail, elapsed_s=elapsed))
     return results

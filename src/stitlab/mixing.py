@@ -242,26 +242,33 @@ def sweep(config: SweepConfig) -> list[MixingRow]:
     return rows
 
 
-def fit_decay_exponent(rows: list[MixingRow]) -> tuple[float, float, float]:
-    """Least-squares slope of log |ratio - 1| against log h on the far half.
+class NoPowerLawError(ValueError):
+    """The far half of a sweep has a row with ratio - 1 <= 0: no power law to fit."""
 
-    Fits a power law |ratio - 1| ~ C h^slope. Uses rows at or beyond the
-    median distance whose ratio is available and non-zero. Returns (slope,
-    intercept, root-mean-square residual). A sweep with c* = 0 (no line hits
-    both bodies) has ratio - 1 = -exp(-t d), which decays exponentially and
-    has no exponent to fit.
+
+def fit_decay_exponent(rows: list[MixingRow]) -> tuple[float, float, float]:
+    """Least-squares slope of log(ratio - 1) against log h on the far half.
+
+    Fits a power law ratio - 1 ~ C h^slope to the rows at or beyond the
+    median distance among those whose ratio is available. Returns (slope,
+    intercept, root-mean-square residual). Raises NoPowerLawError when a
+    far-half row has ratio - 1 <= 0. That happens when c* = 0 (no line hits
+    both bodies), where ratio - 1 = -exp(-t d) decays exponentially, and
+    when exp(-t d) still outweighs c* (1 - exp(-t d)) / d; in neither case
+    does a power law describe the rows.
     """
-    usable = [
-        r
-        for r in rows
-        if not r.overlap and r.ratio_minus_one is not None and r.ratio_minus_one != 0.0
-    ]
+    usable = [r for r in rows if not r.overlap and r.ratio_minus_one is not None]
     if len(usable) < 2:
         raise ValueError("need at least two usable rows to fit a decay exponent")
     median_h = float(np.median([r.h_norm for r in usable]))
     tail = [r for r in usable if r.h_norm >= median_h]
+    bad = [r.h_norm for r in tail if r.ratio_minus_one <= 0.0]
+    if bad:
+        raise NoPowerLawError(
+            f"ratio - 1 <= 0 at h = {bad[0]!r} in the far half: no power-law decay to fit"
+        )
     x = np.log([r.h_norm for r in tail])
-    y = np.log([abs(r.ratio_minus_one) for r in tail])
+    y = np.log([r.ratio_minus_one for r in tail])
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), float(intercept), residual

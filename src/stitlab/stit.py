@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from .geometry import (
     CompactSet,
@@ -21,6 +22,7 @@ from .geometry import (
     EPS,
     GeometryError,
     Hyperplane,
+    Point,
     area,
     chord,
     clip,
@@ -149,15 +151,33 @@ class Tessellation:
         return tuple(c for c in self.cells if c.death_time > self.time)
 
 
-def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellation:
-    """Run the cell-division process in the window up to the time parameter.
+class _Lineage:
+    """Per-cell records of one run, keyed by cell id."""
 
-    ``variant`` selects the production construction ("cell-rate": each cell
-    dies at rate equal to its own hitting mass and is divided by a line drawn
-    from its own hitting law) or the reference one ("window-tree": every cell
-    carries the window's rate and a window-law line, which may miss the cell,
-    in which case the cell survives under a new label). Both have the same
-    law; the reference variant exists as a cross-check.
+    __slots__ = ("polys", "births", "deaths", "parents", "planes")
+
+    def __init__(self) -> None:
+        self.polys: dict[int, ConvexPolygon] = {}
+        self.births: dict[int, float] = {}
+        self.deaths: dict[int, float] = {}
+        self.parents: dict[int, int] = {}
+        self.planes: dict[int, Hyperplane] = {}
+
+
+def _divisions(
+    params: SimulationParams,
+    variant: str,
+    lineage: _Lineage,
+    near: Callable[[ConvexPolygon], bool] | None = None,
+) -> Iterator[tuple[float, tuple[Point, Point] | None]]:
+    """Run the division process, yielding (time, chord) per event in time order.
+
+    The one division loop behind ``simulate`` and ``first_hit``, so both take
+    the same draws from each cell's stream in the same order. Cells are
+    recorded in ``lineage``. With ``near`` given, a child is spawned only if
+    ``near(child polygon)`` holds; a child left out takes its whole subtree
+    with it, because descendants and their chords lie inside it, and every
+    kept cell still gets exactly the draws it gets in the full run.
     """
     if variant not in ("cell-rate", "window-tree"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -169,20 +189,22 @@ def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellati
     horizon = params.time
     seed = params.seed
 
-    window_rate = hit_mass(measure, window)
+    tree = variant == "window-tree"
+    window_rate = hit_mass(measure, window) if tree else 0.0
 
-    polys: dict[int, ConvexPolygon] = {}
-    births: dict[int, float] = {}
-    deaths: dict[int, float] = {}
-    parents: dict[int, int] = {}
-    planes: dict[int, Hyperplane] = {}
+    polys = lineage.polys
+    births = lineage.births
+    deaths = lineage.deaths
+    parents = lineage.parents
+    planes = lineage.planes
     gens: dict[int, SplitStream] = {}
     heap: list[tuple[float, int]] = []
-    edges: list[Edge] = []
 
     def spawn(cid: int, parent: int, poly: ConvexPolygon, birth: float) -> None:
+        if near is not None and not near(poly):
+            return
         gen = cell_stream(seed, cid)
-        rate = window_rate if variant == "window-tree" else hit_mass(measure, poly)
+        rate = window_rate if tree else hit_mass(measure, poly)
         death = birth + gen.exponential(1.0 / rate) if rate > 0.0 else math.inf
         polys[cid] = poly
         births[cid] = birth
@@ -205,7 +227,7 @@ def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellati
         poly = polys[cid]
         gen = gens.pop(cid)
 
-        if variant == "window-tree":
+        if tree:
             plane = sample_hitting(measure, window, gen)
             minus = clip(poly, plane, "minus")
             plus = clip(poly, plane, "plus")
@@ -225,29 +247,46 @@ def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellati
                 raise RuntimeError("could not draw a dividing line for a cell")
 
         planes[cid] = plane
-        cut = chord(poly, plane)
-        if cut is not None:
-            edges.append(Edge(cut[0], cut[1], death))
+        yield death, chord(poly, plane)
         spawn(2 * cid, cid, minus, death)
         spawn(2 * cid + 1, cid, plus, death)
 
-    gens.clear()
+
+def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellation:
+    """Run the cell-division process in the window up to the time parameter.
+
+    ``variant`` selects the production construction ("cell-rate": each cell
+    dies at rate equal to its own hitting mass and is divided by a line drawn
+    from its own hitting law) or the reference one ("window-tree": every cell
+    carries the window's rate and a window-law line, which may miss the cell,
+    in which case the cell survives under a new label). Both have the same
+    law; the reference variant exists as a cross-check.
+    """
+    lineage = _Lineage()
+    edges = [
+        Edge(cut[0], cut[1], death)
+        for death, cut in _divisions(params, variant, lineage)
+        if cut is not None
+    ]
+    polys = lineage.polys
+    deaths = lineage.deaths
+    horizon = params.time
     keep = sorted(polys) if params.retain_lineage else sorted(
         cid for cid in polys if deaths[cid] > horizon
     )
     cells = tuple(
         Cell(
             id=cid,
-            parent_id=parents[cid],
+            parent_id=lineage.parents[cid],
             polygon=polys[cid],
-            birth_time=births[cid],
+            birth_time=lineage.births[cid],
             death_time=deaths[cid],
-            splitting_hyperplane=planes.get(cid),
+            splitting_hyperplane=lineage.planes.get(cid),
         )
         for cid in keep
     )
     return Tessellation(
-        window=window,
+        window=params.window,
         time=horizon,
         cells=cells,
         internal_edges=tuple(edges),
@@ -355,11 +394,19 @@ def rescale(tess: Tessellation, factor: float) -> Tessellation:
     )
 
 
-def _require_interior(tess: Tessellation, body: ConvexPolygon | CompactSet) -> None:
+# ---------------------------------------------------------------------------
+# Queries: whether, and when, a division chord meets a body
+
+
+def require_interior(window: ConvexPolygon, body: ConvexPolygon | CompactSet) -> None:
+    """Raise GeometryError unless the body lies in the window's interior.
+
+    Queries need this because the window boundary is not part of the process.
+    """
     pieces = body.pieces if isinstance(body, CompactSet) else (body,)
     for piece in pieces:
         for v in piece.vertices:
-            if interior_clearance(tess.window, v) <= EPS:
+            if interior_clearance(window, v) <= EPS:
                 raise GeometryError("query set must be interior to the window")
 
 
@@ -369,7 +416,7 @@ def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> floa
     The body must lie in the window's interior: the window boundary is not
     part of the process.
     """
-    _require_interior(tess, body)
+    require_interior(tess.window, body)
     best = math.inf
     for e in tess.internal_edges:
         if e.time < best and segment_hits_body(e.a, e.b, body):
@@ -379,8 +426,123 @@ def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> floa
 
 def hits_internal(tess: Tessellation, body: ConvexPolygon | CompactSet) -> bool:
     """True iff some division chord meets the body (window boundary excluded)."""
-    _require_interior(tess, body)
+    require_interior(tess.window, body)
     return any(segment_hits_body(e.a, e.b, body) for e in tess.internal_edges)
+
+
+# A query-driven run expands no cell that lies farther than this from every
+# query piece. It must exceed the EPS within which ``segment_hits_body``
+# counts a hit plus the rounding of clipped and chord coordinates (a few ulps
+# of the window's coordinates), which it does by orders of magnitude.
+PRUNE_MARGIN = 1e-6
+
+
+def _outward_normals(verts: Sequence[Point], margin: float) -> list[tuple[float, float, float]]:
+    """(nx, ny, reach + margin) per edge of a counter-clockwise convex chain.
+
+    (nx, ny) is the unit outward normal and the chain lies in the half-plane
+    nx * x + ny * y <= reach. A segment gets both of its normals, a point none.
+    """
+    n = len(verts)
+    out = []
+    for i in range(n if n > 1 else 0):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        ln = math.hypot(bx - ax, by - ay)
+        if ln > 0.0:
+            nx, ny = (by - ay) / ln, (ax - bx) / ln
+            out.append((nx, ny, nx * ax + ny * ay + margin))
+    return out
+
+
+def _near_test(bodies: Sequence[ConvexPolygon | CompactSet]) -> Callable[[ConvexPolygon], bool]:
+    """Predicate false only for polygons provably farther than PRUNE_MARGIN from every body.
+
+    A piece counts as far when one of these separates it from the polygon by
+    more than the margin: the bounding boxes; an edge line of the polygon
+    against the piece's bounding circle (centred on its vertex mean); an
+    edge line of the piece; an edge line of the polygon against the piece's
+    vertices. Anything else is kept, since a kept cell only costs time; a
+    polygon containing a piece's centre is kept without further tests.
+    """
+    m = PRUNE_MARGIN
+    pieces = []
+    for body in bodies:
+        for piece in body.pieces if isinstance(body, CompactSet) else (body,):
+            verts = piece.vertices
+            xs = [x for x, _ in verts]
+            ys = [y for _, y in verts]
+            cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
+            radius = max(math.hypot(x - cx, y - cy) for x, y in verts)
+            bounds = (min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m)
+            pieces.append((bounds, cx, cy, radius, verts, _outward_normals(verts, m)))
+
+    def near(poly: ConvexPolygon) -> bool:
+        verts = poly.vertices
+        xs = [x for x, _ in verts]
+        ys = [y for _, y in verts]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        own = None
+        for (bx0, bx1, by0, by1), cx, cy, radius, pverts, axes in pieces:
+            if x1 < bx0 or x0 > bx1 or y1 < by0 or y0 > by1:
+                continue
+            if own is None:
+                own = _outward_normals(verts, m)
+            if own:
+                # Signed clearance of the piece's centre beyond each edge line.
+                gap = max([nx * cx + ny * cy - reach for nx, ny, reach in own])
+                if gap > radius:
+                    continue
+                if gap <= -m:
+                    return True
+            if any(min([nx * x + ny * y for x, y in verts]) > reach for nx, ny, reach in axes):
+                continue
+            if any(min([nx * x + ny * y for x, y in pverts]) > reach for nx, ny, reach in own):
+                continue
+            return True
+        return False
+
+    return near
+
+
+class HitQuery:
+    """Query bodies prepared once for query-driven runs in one window.
+
+    Construction checks that every body lies in the window's interior and
+    builds the pruning test, so a loop over seeds does neither per replicate.
+    """
+
+    def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
+        self.window = window
+        self.bodies = tuple(bodies)
+        if not self.bodies:
+            raise ValueError("need at least one query body")
+        for body in self.bodies:
+            require_interior(window, body)
+        self._near = _near_test(self.bodies)
+
+    def first_hit(self, time: float, measure: DirectionalMeasure, seed: int) -> float:
+        """``first_hit`` of the prepared bodies for one (time, measure, seed)."""
+        params = SimulationParams(window=self.window, time=time, measure=measure, seed=seed)
+        bodies = self.bodies
+        for death, cut in _divisions(params, "cell-rate", _Lineage(), self._near):
+            if cut is not None and any(segment_hits_body(cut[0], cut[1], b) for b in bodies):
+                return death
+        return math.inf
+
+
+def first_hit(params: SimulationParams, bodies: Sequence[ConvexPolygon | CompactSet]) -> float:
+    """Earliest time <= params.time at which a division chord meets any body; inf if none.
+
+    Bit-identical, seed for seed, to
+    ``min(first_hit_time(simulate(params), b) for b in bodies)``, without
+    building the tessellation: a chord lies inside its cell and every cell's
+    draws are keyed by (seed, cell id) alone, so the run expands only cells
+    within PRUNE_MARGIN of a body, and returns at the first event whose
+    chord meets one (events pop in time order). Consequently ``EVENT_CAP``
+    counts expanded events only, and cells that are never expanded cannot
+    fail. Uses the production ("cell-rate") construction.
+    """
+    return HitQuery(params.window, bodies).first_hit(params.time, params.measure, params.seed)
 
 
 # ---------------------------------------------------------------------------

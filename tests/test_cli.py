@@ -193,6 +193,7 @@ class TestValidateCommand:
         report = json.loads(out.read_text())
         assert report["failed"] == 0
         assert report["passed"] == len(report["checks"]) > 10
+        assert all(c["elapsed_s"] >= 0.0 for c in report["checks"])
 
     def test_unknown_suite_is_bad_input(self, capsys):
         assert main(["validate", "bogus"]) == 2

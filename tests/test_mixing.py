@@ -11,6 +11,7 @@ from stitlab.geometry import ConvexPolygon, Direction, box, translate
 from stitlab.measure import DirectionalMeasure, hit_mass, separating_mass
 from stitlab.mixing import (
     MixingRow,
+    NoPowerLawError,
     SweepConfig,
     closed_form_error_bound,
     closed_form_ratio_minus_one,
@@ -284,3 +285,32 @@ class TestFitDecayExponent:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="two usable rows"):
             fit_decay_exponent(self.make_rows([10.0], [0.1]))
+
+    def test_criterion_7_diagonal_sweep_has_no_power_law(self, axes):
+        # Axis measure, segments perpendicular to the diagonal moved along
+        # it: c* = 0, so every row is ratio - 1 = -exp(-(h - 1) / sqrt(2)).
+        diag = Direction(1.0, 1.0)
+        perp = ConvexPolygon(((-0.5 * diag.y, 0.5 * diag.x), (0.5 * diag.y, -0.5 * diag.x)))
+        rows = sweep(
+            SweepConfig(
+                body_a=perp,
+                body_b=perp,
+                direction=diag,
+                distances=(5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0),
+                time=1.0,
+                measure=axes,
+            )
+        )
+        with pytest.raises(NoPowerLawError, match="no power-law decay"):
+            fit_decay_exponent(rows)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_non_positive_far_row_refused(self, bad):
+        hs = [10.0, 20.0, 40.0, 80.0]
+        with pytest.raises(NoPowerLawError):
+            fit_decay_exponent(self.make_rows(hs, [0.1, 0.05, 0.025, bad]))
+
+    def test_non_positive_near_row_ignored(self):
+        hs = [10.0, 20.0, 40.0, 80.0]
+        slope, _, _ = fit_decay_exponent(self.make_rows(hs, [-1.0, 0.0, 1.0 / 40.0, 1.0 / 80.0]))
+        assert abs(slope + 1.0) <= 1e-9

@@ -6,22 +6,37 @@ import numpy as np
 import pytest
 
 import stitlab.stit as stit_mod
+from stitlab.capacity import (
+    Estimate,
+    default_window,
+    increment_check,
+    mc_joint,
+    mc_missing,
+    replicate_first_hits,
+)
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
+    Direction,
     GeometryError,
     area,
     box,
     centroid,
     clip,
     contains_point,
+    convex_hull,
+    dilate,
+    hull_of,
     interior_clearance,
     polygon_intersection,
+    regular_polygon,
 )
-from stitlab.measure import hit_mass
+from stitlab.measure import DirectionalMeasure, axis_measure, hit_mass, isotropic_measure
 from stitlab.stit import (
+    HitQuery,
     SimulationParams,
     cell_stream,
+    first_hit,
     first_hit_time,
     hits_internal,
     mix_seed,
@@ -39,12 +54,8 @@ def params(window, time, measure, seed, **kw):
 
 
 def missing_fraction(window, body, time, measure, n, seed, variant="cell-rate"):
-    miss = 0
-    for i in range(n):
-        t = simulate(params(window, time, measure, mix_seed(seed, i)), variant=variant)
-        if not hits_internal(t, body):
-            miss += 1
-    return miss / n
+    taus = replicate_first_hits([body], time, measure, n, seed, window, variant=variant)
+    return taus.count(math.inf) / n
 
 
 class TestStreams:
@@ -338,3 +349,146 @@ class TestJsonRoundTrip:
         assert again.time == t.time
         assert [c.polygon for c in again.cells] == [c.polygon for c in t.cells]
         assert again.internal_edges == t.internal_edges
+
+
+# ---------------------------------------------------------------------------
+# Query-driven runs against whole tessellations
+
+
+def vertical_segment(x):
+    return ConvexPolygon(((x, 0.0), (x, 1.0)))
+
+
+# Query cases: the bodies whose first hit is asked for, one window each.
+QUERY_BODIES = {
+    "segment": [ConvexPolygon(((0.0, 0.0), (1.0, 0.0)))],
+    "square": [box(0.0, 0.0, 1.0, 1.0)],
+    "64-gon": [regular_polygon(64, circumradius=1.0)],
+    "point": [ConvexPolygon(((0.3, -0.2),))],
+    "disconnected": [CompactSet.of(box(0.0, 0.0, 0.5, 0.5), box(2.0, 0.2, 2.4, 0.9))],
+    "pair h=5": [vertical_segment(0.0), vertical_segment(5.0)],
+    "pair h=25": [vertical_segment(0.0), vertical_segment(25.0)],
+}
+QUERY_WINDOWS = [(name, "default") for name in QUERY_BODIES] + [
+    (name, "large") for name in ("segment", "square", "64-gon", "point", "disconnected")
+]
+QUERY_MEASURES = {
+    "isotropic": isotropic_measure(),
+    "axis": axis_measure(),
+    "mixed": DirectionalMeasure(
+        atoms=tuple(
+            (Direction.from_angle(theta), w)
+            for theta, w in ((0.0, 0.5), (math.pi, 0.5), (1.0, 0.4), (1.0 + math.pi, 0.4))
+        ),
+        isotropic_mass=math.pi,
+    ),
+}
+
+
+def query_window(bodies, kind):
+    """default_window of the bodies' joint hull, or that dilated by 3 (most cells pruned)."""
+    window = default_window(convex_hull([v for b in bodies for v in hull_of(b).vertices]))
+    return window if kind == "default" else dilate(window, 3.0)
+
+
+def full_first_hits(bodies, time, measure, n, seed, window):
+    """Reference loop: simulate each whole tessellation and scan its chords."""
+    return [
+        min(first_hit_time(simulate(params(window, time, measure, mix_seed(seed, i))), b) for b in bodies)
+        for i in range(n)
+    ]
+
+
+class TestFirstHitSeedGrid:
+    SEEDS = 200
+
+    @pytest.mark.parametrize("measure_name", sorted(QUERY_MEASURES))
+    @pytest.mark.parametrize("case,window_kind", QUERY_WINDOWS)
+    def test_matches_full_simulation(self, case, window_kind, measure_name):
+        bodies = QUERY_BODIES[case]
+        measure = QUERY_MEASURES[measure_name]
+        window = query_window(bodies, window_kind)
+        value_mismatch = indicator_mismatch = hits = 0
+        for seed in range(self.SEEDS):
+            p = params(window, 0.6, measure, mix_seed(9100, seed))
+            tess = simulate(p)
+            expected = min(first_hit_time(tess, b) for b in bodies)
+            tau = first_hit(p, bodies)
+            value_mismatch += tau != expected
+            indicator_mismatch += (tau != math.inf) != any(hits_internal(tess, b) for b in bodies)
+            hits += tau != math.inf
+        assert (value_mismatch, indicator_mismatch) == (0, 0)
+        # Both outcomes occur, except where a hit is (almost) impossible or certain.
+        if case not in ("point", "64-gon"):
+            assert 0 < hits < self.SEEDS
+
+    def test_stops_early_and_prunes(self, iso, monkeypatch):
+        # A far pair: the query-driven run divides a small share of the cells.
+        bodies = QUERY_BODIES["pair h=25"]
+        p = params(query_window(bodies, "default"), 1.0, iso, 5)
+        full = len(simulate(p).internal_edges)
+        events = []
+        original = stit_mod.chord
+
+        def counting(poly, plane):
+            events.append(poly)
+            return original(poly, plane)
+
+        monkeypatch.setattr(stit_mod, "chord", counting)
+        first_hit(p, bodies)
+        assert 0 < len(events) < full / 5
+
+    def test_no_bodies_rejected(self, iso):
+        with pytest.raises(ValueError, match="at least one"):
+            first_hit(params(box(0, 0, 2, 2), 1.0, iso, 1), [])
+
+    def test_boundary_query_rejected(self, iso):
+        with pytest.raises(GeometryError, match="interior"):
+            HitQuery(box(0, 0, 2, 2), [box(1, 1, 1.5, 1.5), box(0.0, 0.5, 1.0, 1.5)])
+
+
+class TestEstimatorsMatchFullSimulation:
+    @staticmethod
+    def estimate(successes, n, seed):
+        mean = successes / n
+        return Estimate(mean, math.sqrt(mean * (1.0 - mean) / n), n, seed)
+
+    @pytest.mark.parametrize(
+        "case,measure_name", [("square", "isotropic"), ("disconnected", "axis"), ("point", "mixed")]
+    )
+    def test_mc_missing(self, case, measure_name):
+        [body] = QUERY_BODIES[case]
+        measure = QUERY_MEASURES[measure_name]
+        n, seed, time = 200, 9200, 0.6
+        taus = full_first_hits([body], time, measure, n, seed, default_window(body))
+        assert mc_missing(body, time, measure, n, seed) == self.estimate(taus.count(math.inf), n, seed)
+
+    @pytest.mark.parametrize("case", ["pair h=5", "pair h=25"])
+    def test_mc_joint(self, case):
+        body_a, body_b = QUERY_BODIES[case]
+        measure = QUERY_MEASURES["mixed"]
+        window = query_window([body_a, body_b], "default")
+        n, seed, time = 200, 9300, 0.3
+        taus = full_first_hits([body_a, body_b], time, measure, n, seed, window)
+        est = mc_joint(body_a, body_b, time, measure, n, seed)
+        assert est == self.estimate(taus.count(math.inf), n, seed)
+
+    def test_increment_check(self, iso):
+        body = QUERY_BODIES["square"][0]
+        n, seed, a, step = 300, 9400, 0.5, 0.25
+        taus = full_first_hits([body], a + step, iso, n, seed, default_window(body))
+        rep = increment_check(body, a, step, iso, n, seed)
+        want = self.estimate(sum(a < tau <= a + step for tau in taus), n, seed)
+        assert (rep.increment, rep.stderr, rep.n, rep.seed) == (want.mean, want.stderr, n, seed)
+
+    def test_window_tree_reference_loop(self, iso):
+        # The reference variant of the shared loop simulates whole tessellations.
+        body = box(1.0, 1.0, 2.0, 2.0)
+        window = box(0.2, 0.2, 2.8, 2.8)
+        taus = replicate_first_hits([body], 1.0, iso, 20, 6, window, variant="window-tree")
+        expected = [
+            first_hit_time(simulate(params(window, 1.0, iso, mix_seed(6, i)), variant="window-tree"), body)
+            for i in range(20)
+        ]
+        assert taus == expected
+
