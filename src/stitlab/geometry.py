@@ -111,25 +111,40 @@ def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
     """Tidy a convex vertex loop: dedupe, orient CCW, strip collinear vertices.
 
     Collapses nearly-collinear loops to a segment and coincident points to a
-    single point, using the module tolerance.
+    single point, using the module tolerance. Raises GeometryError when the
+    tidied loop turns clockwise at a vertex lying farther than EPS from the
+    chord of its neighbours.
     """
     pts: list[Point] = []
+    lx = ly = 0.0
     for p in points:
-        q = (float(p[0]), float(p[1]))
-        if not pts or _dist(q, pts[-1]) > EPS:
-            pts.append(q)
+        x, y = float(p[0]), float(p[1])
+        if not pts or math.hypot(x - lx, y - ly) > EPS:
+            pts.append((x, y))
+            lx, ly = x, y
     while len(pts) > 1 and _dist(pts[0], pts[-1]) <= EPS:
         pts.pop()
-    if len(pts) == 1:
-        return (pts[0],)
-    if len(pts) == 2:
+    if len(pts) < 3:
         return tuple(pts)
 
-    area2 = _shoelace2(pts)
-    spread = math.hypot(
-        max(x for x, _ in pts) - min(x for x, _ in pts),
-        max(y for _, y in pts) - min(y for _, y in pts),
-    )
+    # Shoelace sum (in vertex order) and bounding box in one pass.
+    x0, y0 = pts[0]
+    xmin = xmax = px = x0
+    ymin = ymax = py = y0
+    area2 = 0.0
+    for qx, qy in pts[1:]:
+        area2 += px * qy - py * qx
+        if qx < xmin:
+            xmin = qx
+        elif qx > xmax:
+            xmax = qx
+        if qy < ymin:
+            ymin = qy
+        elif qy > ymax:
+            ymax = qy
+        px, py = qx, qy
+    area2 += px * y0 - py * x0
+    spread = math.hypot(xmax - xmin, ymax - ymin)
     # A loop within EPS of a line spans at most a 2*EPS-wide strip, so its
     # doubled area is below 4*EPS*diameter; larger loops skip the collapse.
     if abs(area2) <= 4.0 * EPS * spread:
@@ -148,19 +163,33 @@ def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
     if area2 < 0.0:
         pts.reverse()
 
-    # Strip interior vertices lying on the chord of their neighbours.
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            p = pts[i - 1]
-            q = pts[i]
-            r = pts[(i + 1) % len(pts)]
-            if _perp_distance(q, p, r) <= EPS:
-                pts.pop(i)
-                changed = True
+    # One scan for the distance of each vertex q = pts[i] from the chord of
+    # its neighbours p, r and the turn p -> q -> r. The first vertex within
+    # EPS of its chord is stripped and the scan restarts; with none left,
+    # a clockwise turn means the loop is not convex.
+    while True:
+        clockwise = False
+        px, py = pts[-1]
+        qx, qy = pts[0]
+        for i, (rx, ry) in enumerate(pts[1:] + pts[:1]):
+            ex, ey = rx - px, ry - py
+            ln = math.hypot(ex, ey)
+            if ln == 0.0:
+                dist = math.hypot(qx - px, qy - py)
+            else:
+                dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
+            if dist <= EPS:
                 break
-    return tuple(pts)
+            if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
+                clockwise = True
+            px, py, qx, qy = qx, qy, rx, ry
+        else:
+            if clockwise:
+                raise GeometryError("vertex chain is not convex")
+            return tuple(pts)
+        pts.pop(i)
+        if len(pts) < 3:
+            return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -169,7 +198,7 @@ class ConvexPolygon:
 
     One vertex is a point, two a segment, three or more a proper polygon.
     The constructor canonicalises the chain (orientation, duplicate and
-    collinear vertex removal) but assumes the input loop is convex.
+    collinear vertex removal) and rejects a chain that is not convex.
     """
 
     vertices: tuple[Point, ...]
@@ -177,15 +206,7 @@ class ConvexPolygon:
     def __post_init__(self) -> None:
         if len(self.vertices) == 0:
             raise GeometryError("polygon needs at least one vertex")
-        verts = _canonical_loop(self.vertices)
-        n = len(verts)
-        for i in range(n):
-            p, q, r = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if n > 2:
-                cross = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
-                if cross < 0.0 and _perp_distance(q, p, r) > EPS:
-                    raise GeometryError("vertex chain is not convex")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", _canonical_loop(self.vertices))
 
     @property
     def is_point(self) -> bool:
@@ -226,9 +247,9 @@ def _pieces_of(body: ConvexPolygon | CompactSet) -> tuple[ConvexPolygon, ...]:
     return body.pieces
 
 
-def _vertices_of(body: ConvexPolygon | CompactSet) -> list[Point]:
+def _vertices_of(body: ConvexPolygon | CompactSet) -> Sequence[Point]:
     if isinstance(body, ConvexPolygon):
-        return list(body.vertices)
+        return body.vertices
     return body.all_vertices()
 
 
@@ -424,15 +445,27 @@ class HitInterval:
     hi: float
 
 
+def projection_bounds(verts: Sequence[Point], ux: float, uy: float) -> tuple[float, float]:
+    """(min, max) of x * ux + y * uy over a non-empty vertex chain."""
+    lo = hi = verts[0][0] * ux + verts[0][1] * uy
+    for x, y in verts:
+        p = x * ux + y * uy
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+    return lo, hi
+
+
 def hit_interval(body: ConvexPolygon | CompactSet, u: Direction) -> HitInterval:
     """Projection interval of the convex hull of ``body`` onto ``u``."""
-    return HitInterval(-support(body, u.opposite()), support(body, u))
+    return HitInterval(*projection_bounds(_vertices_of(body), u.x, u.y))
 
 
 def hit_length(body: ConvexPolygon | CompactSet, u: Direction) -> float:
     """Length of {r >= 0 : the hyperplane (r, u) hits the hull of the body}."""
-    iv = hit_interval(body, u)
-    return max(0.0, iv.hi) - max(0.0, iv.lo)
+    lo, hi = projection_bounds(_vertices_of(body), u.x, u.y)
+    return max(0.0, hi) - max(0.0, lo)
 
 
 def hits(plane: Hyperplane, body: ConvexPolygon | CompactSet) -> bool:
@@ -477,7 +510,13 @@ def perimeter(poly: ConvexPolygon) -> float:
     n = len(verts)
     if n == 1:
         return 0.0
-    return sum(_dist(verts[i], verts[(i + 1) % n]) for i in range(n))
+    # Summed edge by edge from vertex 0: seeded results depend on this order.
+    total = 0.0
+    px, py = verts[0]
+    for qx, qy in verts[1:]:
+        total += math.hypot(px - qx, py - qy)
+        px, py = qx, qy
+    return total + math.hypot(px - verts[0][0], py - verts[0][1])
 
 
 def diameter(body: ConvexPolygon | CompactSet) -> float:
@@ -604,7 +643,14 @@ def piece_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
 def segment_hits_body(
     a: Point, b: Point, body: ConvexPolygon | CompactSet, tol: float = EPS
 ) -> bool:
-    """True iff segment ``ab`` comes within ``tol`` of any piece of the body."""
+    """True iff segment ``ab`` comes within ``tol`` of any piece of the body.
+
+    For a point or a segment piece the tolerance is Euclidean. For a proper
+    piece an endpoint counts when it lies within ``tol`` of the inner side
+    of every edge line (``contains_point``), so points up to
+    tol / sin(theta/2) past a vertex of interior angle theta count as well.
+    ``hit_reach`` bounds the region in which this can return True.
+    """
     for piece in _pieces_of(body):
         if contains_point(piece, a, tol) or contains_point(piece, b, tol):
             return True
@@ -618,6 +664,56 @@ def segment_hits_body(
             if segment_segment_distance(a, b, pv[i], pv[(i + 1) % n]) <= tol:
                 return True
     return False
+
+
+def hit_reach(piece: ConvexPolygon, scale: float) -> tuple[Point, ...] | None:
+    """Reach of a piece: a convex CCW polygon that segment ``ab`` meets
+    whenever ``segment_hits_body(a, b, piece)`` is True.
+
+    A point or a segment reaches EPS around it (returned: the square or
+    rectangle around that). A proper piece applies EPS per edge line, so
+    its reach is the piece with every edge line pushed out; the corner at a
+    vertex v with edge normals n1, n2 is v + EPS (n1 + n2) / (1 + n1 . n2),
+    EPS / sin(theta/2) out for an interior angle theta. The offset is
+    widened by 2^-16 EPS + 2^-44 scale (a few hundred ulps), ``scale``
+    bounding the coordinates of the piece and of the segments tested, so
+    that rounding in the predicate cannot leave the reach. None (unbounded)
+    when some sin(theta/2) < 2^-20: such a corner cannot be placed that
+    accurately.
+    """
+    d = EPS * (1.0 + 2.0**-16) + 2.0**-44 * scale
+    verts = piece.vertices
+    n = len(verts)
+    if n == 1:
+        x, y = verts[0]
+        return ((x - d, y - d), (x + d, y - d), (x + d, y + d), (x - d, y + d))
+    if n == 2:
+        (ax, ay), (bx, by) = verts
+        ln = math.hypot(bx - ax, by - ay)
+        tx, ty = d * (bx - ax) / ln, d * (by - ay) / ln
+        return (
+            (ax - tx + ty, ay - ty - tx),
+            (bx + tx + ty, by + ty - tx),
+            (bx + tx - ty, by + ty + tx),
+            (ax - tx - ty, ay - ty + tx),
+        )
+    out = []
+    # Corner at q = verts[i]: n1 is the normal of the edge into q, n2 of the edge out.
+    (px, py), (qx, qy) = verts[-1], verts[0]
+    ln = math.hypot(qx - px, qy - py)
+    n1x, n1y = (qy - py) / ln, (px - qx) / ln
+    for rx, ry in verts[1:] + verts[:1]:
+        ln = math.hypot(rx - qx, ry - qy)
+        n2x, n2y = (ry - qy) / ln, (qx - rx) / ln
+        sx, sy = n1x + n2x, n1y + n2y
+        # |n1 + n2|^2 = 2 (1 + n1 . n2) = 4 sin^2(theta/2).
+        s2 = sx * sx + sy * sy
+        if s2 < 2.0**-38:
+            return None
+        k = 2.0 * d / s2
+        out.append((qx + k * sx, qy + k * sy))
+        qx, qy, n1x, n1y = rx, ry, n2x, n2y
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .geometry import (
     hit_length,
     hull_of,
     perimeter,
+    projection_bounds,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -137,18 +138,6 @@ class MeasureReport:
     isotropic_part: float
 
 
-def _clipped_length(verts, ux: float, uy: float) -> float:
-    """Length of {r >= 0 : the line (r, u) meets the vertex hull}."""
-    lo = hi = verts[0][0] * ux + verts[0][1] * uy
-    for x, y in verts:
-        p = x * ux + y * uy
-        if p < lo:
-            lo = p
-        elif p > hi:
-            hi = p
-    return (hi if hi > 0.0 else 0.0) - (lo if lo > 0.0 else 0.0)
-
-
 def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> float:
     """Measure of all lines hitting the (connected) body.
 
@@ -164,7 +153,8 @@ def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> f
     verts = hull.vertices
     total = measure.isotropic_mass / TWO_PI * perimeter(hull)
     for u, w in measure.atoms:
-        total += w * _clipped_length(verts, u.x, u.y)
+        lo, hi = projection_bounds(verts, u.x, u.y)
+        total += w * (max(0.0, hi) - max(0.0, lo))
     return total
 
 
@@ -371,17 +361,6 @@ class RandomStream(Protocol):
     def uniform(self, lo: float, hi: float) -> float: ...
 
 
-def _projection_bounds(verts, ux: float, uy: float) -> tuple[float, float]:
-    lo = hi = verts[0][0] * ux + verts[0][1] * uy
-    for x, y in verts:
-        p = x * ux + y * uy
-        if p < lo:
-            lo = p
-        elif p > hi:
-            hi = p
-    return lo, hi
-
-
 def sample_hitting(
     measure: DirectionalMeasure, window: ConvexPolygon, rng: RandomStream
 ) -> Hyperplane:
@@ -401,7 +380,7 @@ def sample_hitting(
     x = rng.random() * total
     for (u, _), w in zip(measure.atoms, atom_weights):
         if x < w:
-            lo, hi = _projection_bounds(verts, u.x, u.y)
+            lo, hi = projection_bounds(verts, u.x, u.y)
             r = rng.uniform(max(0.0, lo), max(0.0, hi))
             return Hyperplane(r, u)
         x -= w
@@ -413,7 +392,7 @@ def sample_hitting(
         theta = rng.uniform(0.0, TWO_PI)
         ux = math.cos(theta)
         uy = math.sin(theta)
-        lo, hi = _projection_bounds(verts, ux, uy)
+        lo, hi = projection_bounds(verts, ux, uy)
         length = max(0.0, hi) - max(0.0, lo)
         if rng.random() * bound < length:
             r = rng.uniform(max(0.0, lo), max(0.0, hi))

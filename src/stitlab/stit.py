@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
     CompactSet,
@@ -28,6 +28,7 @@ from .geometry import (
     clip,
     clip_segment_to_polygon,
     contains_point,
+    hit_reach,
     interior_clearance,
     polygon_from_json,
     polygon_intersection,
@@ -51,18 +52,23 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _fold(acc: int, p: int) -> int:
+    """Fold one integer (of any size) into a 64-bit accumulator."""
+    p = int(p)
+    if p < 0:
+        p = -p * 2 + 1
+    while True:
+        acc = _splitmix64(acc ^ (p & _MASK64))
+        p >>= 64
+        if p == 0:
+            return acc
+
+
 def mix_seed(*parts: int) -> int:
     """Fold integers (of any size) into one 64-bit stream seed."""
     acc = 0x243F6A8885A308D3
     for p in parts:
-        p = int(p)
-        if p < 0:
-            p = -p * 2 + 1
-        while True:
-            acc = _splitmix64(acc ^ (p & _MASK64))
-            p >>= 64
-            if p == 0:
-                break
+        acc = _fold(acc, p)
     return acc
 
 
@@ -187,7 +193,6 @@ def _divisions(
     validate_measure(params.measure)
     measure = params.measure
     horizon = params.time
-    seed = params.seed
 
     tree = variant == "window-tree"
     window_rate = hit_mass(measure, window) if tree else 0.0
@@ -199,11 +204,13 @@ def _divisions(
     planes = lineage.planes
     gens: dict[int, SplitStream] = {}
     heap: list[tuple[float, int]] = []
+    # cell_stream(seed, cid), with the seed folded in once per run.
+    prefix = mix_seed(params.seed)
 
     def spawn(cid: int, parent: int, poly: ConvexPolygon, birth: float) -> None:
         if near is not None and not near(poly):
             return
-        gen = cell_stream(seed, cid)
+        gen = SplitStream(_fold(prefix, cid))
         rate = window_rate if tree else hit_mass(measure, poly)
         death = birth + gen.exponential(1.0 / rate) if rate > 0.0 else math.inf
         polys[cid] = poly
@@ -402,12 +409,77 @@ def require_interior(window: ConvexPolygon, body: ConvexPolygon | CompactSet) ->
     """Raise GeometryError unless the body lies in the window's interior.
 
     Queries need this because the window boundary is not part of the process.
+    Decides as ``interior_clearance(window, v) <= EPS`` for every vertex v
+    does, with each window edge's terms computed once.
     """
     pieces = body.pieces if isinstance(body, CompactSet) else (body,)
-    for piece in pieces:
-        for v in piece.vertices:
-            if interior_clearance(window, v) <= EPS:
+    verts = [v for piece in pieces for v in piece.vertices]
+    wv = window.vertices
+    n = len(wv)
+    if n < 3:
+        raise GeometryError("query set must be interior to the window")
+    for i in range(n):
+        (ax, ay), (bx, by) = wv[i], wv[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        ln = math.hypot(ex, ey)
+        for px, py in verts:
+            if (ex * (py - ay) - ey * (px - ax)) / ln <= EPS:
                 raise GeometryError("query set must be interior to the window")
+
+
+class QueryBody:
+    """A query body checked and prepared once for chord tests in one window.
+
+    Construction checks that the body lies in the window's interior and
+    keeps each piece's reach (``hit_reach``) and the box around all of
+    them. A chord whose bounding box misses that box cannot meet the body,
+    so ``segment_hits_body`` need only be called for the chords that pass
+    this four-comparison test: ``meets`` tests one chord, ``candidates``
+    filters a scan. (Only where ``segment_segment_distance`` returns 0 for
+    nearly collinear segments that do not meet can the full scan count a
+    chord that this test rejects.)
+    """
+
+    __slots__ = ("body", "reaches", "box")
+
+    def __init__(self, body: ConvexPolygon | CompactSet, window: ConvexPolygon):
+        require_interior(window, body)
+        self.body = body
+        # Chords lie in the window, so its coordinates bound theirs.
+        scale = max(map(abs, _bounds(window.vertices)))
+        pieces = body.pieces if isinstance(body, CompactSet) else (body,)
+        self.reaches = tuple(hit_reach(piece, scale) for piece in pieces)
+        if None in self.reaches:
+            self.box = (-math.inf, math.inf, -math.inf, math.inf)
+        else:
+            self.box = _bounds([v for reach in self.reaches for v in reach])
+
+    def meets(self, a: Point, b: Point) -> bool:
+        """``segment_hits_body(a, b, body)``, skipped when ab's box misses the reach box."""
+        x0, x1, y0, y1 = self.box
+        (ax, ay), (bx, by) = a, b
+        if (ax < x0 and bx < x0) or (ax > x1 and bx > x1):
+            return False
+        if (ay < y0 and by < y0) or (ay > y1 and by > y1):
+            return False
+        return segment_hits_body(a, b, self.body)
+
+    def candidates(self, edges: Iterable[Edge]) -> Iterator[Edge]:
+        """The edges, in order, whose bounding box meets the reach box (as in ``meets``)."""
+        x0, x1, y0, y1 = self.box
+        for e in edges:
+            (ax, ay), (bx, by) = e.a, e.b
+            if (ax < x0 and bx < x0) or (ax > x1 and bx > x1):
+                continue
+            if (ay < y0 and by < y0) or (ay > y1 and by > y1):
+                continue
+            yield e
+
+
+def _bounds(verts: Sequence[Point]) -> tuple[float, float, float, float]:
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> float:
@@ -416,9 +488,8 @@ def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> floa
     The body must lie in the window's interior: the window boundary is not
     part of the process.
     """
-    require_interior(tess.window, body)
     best = math.inf
-    for e in tess.internal_edges:
+    for e in QueryBody(body, tess.window).candidates(tess.internal_edges):
         if e.time < best and segment_hits_body(e.a, e.b, body):
             best = e.time
     return best
@@ -426,14 +497,15 @@ def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> floa
 
 def hits_internal(tess: Tessellation, body: ConvexPolygon | CompactSet) -> bool:
     """True iff some division chord meets the body (window boundary excluded)."""
-    require_interior(tess.window, body)
-    return any(segment_hits_body(e.a, e.b, body) for e in tess.internal_edges)
+    edges = QueryBody(body, tess.window).candidates(tess.internal_edges)
+    return any(segment_hits_body(e.a, e.b, body) for e in edges)
 
 
-# A query-driven run expands no cell that lies farther than this from every
-# query piece. It must exceed the EPS within which ``segment_hits_body``
-# counts a hit plus the rounding of clipped and chord coordinates (a few ulps
-# of the window's coordinates), which it does by orders of magnitude.
+# A query-driven run expands no cell that lies farther than this from the
+# reach of every query piece, the region outside which ``segment_hits_body``
+# cannot count a hit. It must exceed the rounding of clipped and chord
+# coordinates (a few ulps of the window's), which it does by orders of
+# magnitude.
 PRUNE_MARGIN = 1e-6
 
 
@@ -454,26 +526,28 @@ def _outward_normals(verts: Sequence[Point], margin: float) -> list[tuple[float,
     return out
 
 
-def _near_test(bodies: Sequence[ConvexPolygon | CompactSet]) -> Callable[[ConvexPolygon], bool]:
-    """Predicate false only for polygons provably farther than PRUNE_MARGIN from every body.
+def _near_test(queries: Sequence[QueryBody]) -> Callable[[ConvexPolygon], bool] | None:
+    """Predicate false only for polygons provably farther than PRUNE_MARGIN from every reach.
 
-    A piece counts as far when one of these separates it from the polygon by
-    more than the margin: the bounding boxes; an edge line of the polygon
-    against the piece's bounding circle (centred on its vertex mean); an
-    edge line of the piece; an edge line of the polygon against the piece's
-    vertices. Anything else is kept, since a kept cell only costs time; a
-    polygon containing a piece's centre is kept without further tests.
+    A piece's reach polygon counts as far when one of these separates it
+    from the polygon by more than the margin: the bounding boxes; an edge
+    line of the polygon against the reach's bounding circle (centred on its
+    vertex mean); an edge line of the reach; an edge line of the polygon
+    against the reach's vertices. Anything else is kept, since a kept cell
+    only costs time; a polygon containing a reach's centre is kept without
+    further tests. None (prune nothing) when some reach is unbounded.
     """
     m = PRUNE_MARGIN
     pieces = []
-    for body in bodies:
-        for piece in body.pieces if isinstance(body, CompactSet) else (body,):
-            verts = piece.vertices
-            xs = [x for x, _ in verts]
-            ys = [y for _, y in verts]
-            cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
+    for query in queries:
+        for verts in query.reaches:
+            if verts is None:
+                return None
+            x0, x1, y0, y1 = _bounds(verts)
+            cx = sum(x for x, _ in verts) / len(verts)
+            cy = sum(y for _, y in verts) / len(verts)
             radius = max(math.hypot(x - cx, y - cy) for x, y in verts)
-            bounds = (min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m)
+            bounds = (x0 - m, x1 + m, y0 - m, y1 + m)
             pieces.append((bounds, cx, cy, radius, verts, _outward_normals(verts, m)))
 
     def near(poly: ConvexPolygon) -> bool:
@@ -488,7 +562,7 @@ def _near_test(bodies: Sequence[ConvexPolygon | CompactSet]) -> Callable[[Convex
             if own is None:
                 own = _outward_normals(verts, m)
             if own:
-                # Signed clearance of the piece's centre beyond each edge line.
+                # Signed clearance of the reach's centre beyond each edge line.
                 gap = max([nx * cx + ny * cy - reach for nx, ny, reach in own])
                 if gap > radius:
                     continue
@@ -508,7 +582,8 @@ class HitQuery:
     """Query bodies prepared once for query-driven runs in one window.
 
     Construction checks that every body lies in the window's interior and
-    builds the pruning test, so a loop over seeds does neither per replicate.
+    builds each body's reach box and the pruning test, so a loop over
+    seeds does none of this per replicate.
     """
 
     def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
@@ -516,16 +591,15 @@ class HitQuery:
         self.bodies = tuple(bodies)
         if not self.bodies:
             raise ValueError("need at least one query body")
-        for body in self.bodies:
-            require_interior(window, body)
-        self._near = _near_test(self.bodies)
+        self._queries = tuple(QueryBody(body, window) for body in self.bodies)
+        self._near = _near_test(self._queries)
 
     def first_hit(self, time: float, measure: DirectionalMeasure, seed: int) -> float:
         """``first_hit`` of the prepared bodies for one (time, measure, seed)."""
         params = SimulationParams(window=self.window, time=time, measure=measure, seed=seed)
-        bodies = self.bodies
+        queries = self._queries
         for death, cut in _divisions(params, "cell-rate", _Lineage(), self._near):
-            if cut is not None and any(segment_hits_body(cut[0], cut[1], b) for b in bodies):
+            if cut is not None and any(q.meets(cut[0], cut[1]) for q in queries):
                 return death
         return math.inf
 
@@ -537,10 +611,10 @@ def first_hit(params: SimulationParams, bodies: Sequence[ConvexPolygon | Compact
     ``min(first_hit_time(simulate(params), b) for b in bodies)``, without
     building the tessellation: a chord lies inside its cell and every cell's
     draws are keyed by (seed, cell id) alone, so the run expands only cells
-    within PRUNE_MARGIN of a body, and returns at the first event whose
-    chord meets one (events pop in time order). Consequently ``EVENT_CAP``
-    counts expanded events only, and cells that are never expanded cannot
-    fail. Uses the production ("cell-rate") construction.
+    within PRUNE_MARGIN of a body's reach, and returns at the first event
+    whose chord meets one (events pop in time order). Consequently
+    ``EVENT_CAP`` counts expanded events only, and cells that are never
+    expanded cannot fail. Uses the production ("cell-rate") construction.
     """
     return HitQuery(params.window, bodies).first_hit(params.time, params.measure, params.seed)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_convex_polygon, random_direction
 from stitlab.geometry import (
@@ -22,9 +24,13 @@ from stitlab.geometry import (
     compact_to_json,
     contains_point,
     convex_hull,
+    _canonical_loop,
+    _perp_distance,
     diameter,
     dilate,
     hit_interval,
+    hit_length,
+    hit_reach,
     hits,
     interior_clearance,
     perimeter,
@@ -32,6 +38,7 @@ from stitlab.geometry import (
     polygon_from_json,
     polygon_intersection,
     polygon_to_json,
+    projection_bounds,
     regular_polygon,
     rotate,
     scale,
@@ -380,3 +387,247 @@ class TestJson:
 def test_regular_polygon_perimeter():
     disc = regular_polygon(64, circumradius=1.0)
     assert math.isclose(perimeter(disc), 128.0 * math.sin(math.pi / 64.0), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Single-pass polygon kernel against the multi-pass one it replaced
+
+
+def _dist(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def reference_canonical_loop(points):
+    """The multi-pass canonicalisation plus the separate convexity check."""
+    pts = []
+    for p in points:
+        q = (float(p[0]), float(p[1]))
+        if not pts or _dist(q, pts[-1]) > 1e-9:
+            pts.append(q)
+    while len(pts) > 1 and _dist(pts[0], pts[-1]) <= 1e-9:
+        pts.pop()
+    if len(pts) == 1:
+        return (pts[0],)
+    if len(pts) == 2:
+        return tuple(pts)
+    area2 = 0.0
+    for i in range(len(pts)):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % len(pts)]
+        area2 += x1 * y2 - y1 * x2
+    spread = math.hypot(
+        max(x for x, _ in pts) - min(x for x, _ in pts),
+        max(y for _, y in pts) - min(y for _, y in pts),
+    )
+    if abs(area2) <= 4.0 * 1e-9 * spread:
+        best, best_d = (0, 1), -1.0
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                d = _dist(pts[i], pts[j])
+                if d > best_d:
+                    best_d, best = d, (i, j)
+        a, b = pts[best[0]], pts[best[1]]
+        if all(_perp_distance(p, a, b) <= 1e-9 for p in pts):
+            return (a, b) if best_d > 1e-9 else (a,)
+    if area2 < 0.0:
+        pts.reverse()
+    changed = True
+    while changed and len(pts) > 2:
+        changed = False
+        for i in range(len(pts)):
+            if _perp_distance(pts[i], pts[i - 1], pts[(i + 1) % len(pts)]) <= 1e-9:
+                pts.pop(i)
+                changed = True
+                break
+    n = len(pts)
+    for i in range(n):
+        p, q, r = pts[i - 1], pts[i], pts[(i + 1) % n]
+        if n > 2:
+            cross = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
+            if cross < 0.0 and _perp_distance(q, p, r) > 1e-9:
+                raise GeometryError("vertex chain is not convex")
+    return tuple(pts)
+
+
+def outcome(fn, points):
+    try:
+        return repr(fn(points))
+    except GeometryError as err:
+        return f"GeometryError({err})"
+
+
+coordinate = st.floats(-50.0, 50.0)
+offset = st.sampled_from([0.0, 1e4, 1e6, 1e8])
+
+
+@st.composite
+def convex_loops(draw):
+    """Vertices on an ellipse, either orientation, around a possibly far centre."""
+    n = draw(st.integers(1, 12))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n)))
+    rx = draw(st.floats(1e-6, 20.0))
+    ry = draw(st.sampled_from([rx, rx * 1e-9, rx * 1e-10, 3e-10]))
+    c = draw(offset)
+    cx, cy = c + draw(coordinate), c + draw(coordinate)
+    pts = [(cx + rx * math.cos(t), cy + ry * math.sin(t)) for t in angles]
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+@st.composite
+def perturbed_loops(draw):
+    """Convex loops with repeats within EPS, jitter below EPS, or shuffled (non-convex) order."""
+    pts = draw(convex_loops())
+    kind = draw(st.sampled_from(["duplicates", "jitter", "shuffle"]))
+    jitter = st.floats(-1.5e-9, 1.5e-9)
+    if kind == "duplicates":
+        out = []
+        for x, y in pts:
+            out.append((x, y))
+            for _ in range(draw(st.integers(0, 2))):
+                out.append((x + draw(jitter), y + draw(jitter)))
+        return out
+    if kind == "jitter":
+        return [(x + draw(jitter), y + draw(jitter)) for x, y in pts]
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def near_collinear_loops(draw):
+    """Points near one line: collapse to a segment or a point, or strip to a sliver."""
+    n = draw(st.integers(3, 8))
+    x0, y0 = draw(coordinate), draw(coordinate)
+    theta = draw(st.floats(0.0, math.pi))
+    length = draw(st.sampled_from([1e-10, 1e-6, 1.0, 30.0]))
+    width = draw(st.sampled_from([0.0, 1e-11, 5e-10, 2e-9, 1e-7]))
+    ts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    pts = []
+    for t in ts:
+        w = draw(st.floats(-width, width)) if width else 0.0
+        pts.append((x0 + length * t * math.cos(theta) - w * math.sin(theta),
+                    y0 + length * t * math.sin(theta) + w * math.cos(theta)))
+    return pts + pts[-2:0:-1] if draw(st.booleans()) else pts
+
+
+class TestCanonicalLoopMatchesReference:
+    """Same vertices, bit for bit, and the same error as the multi-pass kernel."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(convex_loops())
+    def test_convex_loops(self, pts):
+        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_loops())
+    def test_duplicates_jitter_and_non_convex_chains(self, pts):
+        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_collinear_loops())
+    def test_near_collinear_slivers(self, pts):
+        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+
+    def test_non_convex_chain_raises(self):
+        pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (2.0, 2.0), (0.0, 2.0)]
+        assert outcome(_canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
+        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
+        with pytest.raises(GeometryError, match="not convex"):
+            ConvexPolygon(tuple(pts))
+
+    def test_dent_far_from_origin_raises(self):
+        # A dent of 1.5e-8 > EPS at coordinates ~1e8, where one ulp is 1.5e-8.
+        pts = [(1e8, 1e8), (1e8 + 4.0, 1e8), (1e8 + 4.0, 1e8 + 4.0), (1e8 + 2.0, 1e8 + 4.0 - 1.5e-8), (1e8, 1e8 + 4.0)]
+        assert outcome(_canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
+        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(convex_loops())
+    def test_perimeter_sums_left_to_right(self, pts):
+        try:
+            poly = ConvexPolygon(tuple(pts))
+        except GeometryError:
+            return
+        v = poly.vertices
+        expected = 0.0 if len(v) == 1 else sum(_dist(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+        assert repr(perimeter(poly)) == repr(expected)
+
+
+class TestProjectionBounds:
+    def test_min_and_max_of_projections(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            p = random_convex_polygon(rng)
+            u = random_direction(rng)
+            proj = [u.x * x + u.y * y for x, y in p.vertices]
+            assert projection_bounds(p.vertices, u.x, u.y) == (min(proj), max(proj))
+            # Exactly what the support function gives: -max(-p) is min(p).
+            iv = hit_interval(p, u)
+            assert (iv.lo, iv.hi) == (-support(p, u.opposite()), support(p, u))
+            assert hit_length(p, u) == max(0.0, iv.hi) - max(0.0, iv.lo)
+
+
+# ---------------------------------------------------------------------------
+# Reach of a piece: where segment_hits_body can count a hit
+
+
+def reach_box(reach):
+    xs = [x for x, _ in reach]
+    ys = [y for _, y in reach]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def in_box(p, b):
+    return b[0] <= p[0] <= b[1] and b[2] <= p[1] <= b[3]
+
+
+@st.composite
+def slivers(draw):
+    """Triangle with tip (x, y), axis angle phi, length L and half-angle alpha."""
+    x, y = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    length = draw(st.floats(0.01, 10.0))
+    alpha = draw(st.sampled_from([1e-5, 1e-4, 1e-3, 0.1, 0.7, 1.4]))
+    pts = [(x, y)] + [
+        (x + length * math.cos(phi + s * alpha), y + length * math.sin(phi + s * alpha)) for s in (-1.0, 1.0)
+    ]
+    return ConvexPolygon(tuple(pts))
+
+
+class TestHitReach:
+    def test_sliver_tip_reaches_eps_over_sine(self):
+        tri = ConvexPolygon(((0.0, 0.0), (1.0, -1e-5), (1.0, 1e-5)))
+        reach = hit_reach(tri, scale=2.0)
+        tip = min(reach)
+        # EPS / sin(theta/2), with EPS widened by 2^-16 EPS + 2^-44 scale.
+        widened = 1e-9 * (1.0 + 2.0**-16) + 2.0**-44 * 2.0
+        assert tip == pytest.approx((-widened / math.sin(math.atan(1e-5)), 0.0), rel=1e-9, abs=1e-18)
+        assert contains_point(tri, (-4.5e-5, 0.0))
+        assert not contains_point(tri, (-1.01e-4, 0.0))
+
+    def test_point_and_segment_reach(self):
+        point = hit_reach(ConvexPolygon(((1.0, 2.0),)), scale=2.0)
+        d = 1e-9 * (1.0 + 2.0**-16) + 2.0**-44 * 2.0
+        assert reach_box(point) == pytest.approx((1.0 - d, 1.0 + d, 2.0 - d, 2.0 + d), abs=1e-15)
+        seg = hit_reach(ConvexPolygon(((0.0, 0.0), (3.0, 4.0))), scale=2.0)
+        assert len(seg) == 4 and area(ConvexPolygon(seg)) == pytest.approx(2.0 * d * (5.0 + 2.0 * d), rel=1e-5)
+
+    def test_unplaceable_corner_gives_unbounded_reach(self):
+        needle = ConvexPolygon(((0.0, 0.0), (10.0, -1e-6), (10.0, 1e-6)))
+        assert len(needle.vertices) == 3
+        assert hit_reach(needle, scale=10.0) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(slivers(), st.floats(0.0, 1.5), st.integers(0, 2), st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9))
+    def test_counted_points_lie_in_the_reach_box(self, piece, s, k, jx, jy):
+        # Points between a vertex and its reach corner (and beyond): wherever
+        # the predicate counts one, it lies in the reach box.
+        reach = hit_reach(piece, scale=40.0)
+        if reach is None or len(piece.vertices) != len(reach):
+            return
+        (vx, vy), (cx, cy) = piece.vertices[k], reach[k]
+        p = (vx + s * (cx - vx) + jx, vy + s * (cy - vy) + jy)
+        if segment_hits_body(p, p, piece):
+            assert in_box(p, reach_box(reach))
+        if s <= 0.999 and jx == jy == 0.0:
+            assert contains_point(piece, p)
+        if s >= 1.001 and jx == jy == 0.0:
+            assert not contains_point(piece, p)

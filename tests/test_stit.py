@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stitlab.stit as stit_mod
 from stitlab.capacity import (
@@ -30,11 +32,16 @@ from stitlab.geometry import (
     interior_clearance,
     polygon_intersection,
     regular_polygon,
+    segment_hits_body,
 )
 from stitlab.measure import DirectionalMeasure, axis_measure, hit_mass, isotropic_measure
 from stitlab.stit import (
+    Edge,
     HitQuery,
+    QueryBody,
     SimulationParams,
+    Tessellation,
+    _near_test,
     cell_stream,
     first_hit,
     first_hit_time,
@@ -445,6 +452,143 @@ class TestFirstHitSeedGrid:
     def test_boundary_query_rejected(self, iso):
         with pytest.raises(GeometryError, match="interior"):
             HitQuery(box(0, 0, 2, 2), [box(1, 1, 1.5, 1.5), box(0.0, 0.5, 1.0, 1.5)])
+
+
+# ---------------------------------------------------------------------------
+# Prepared query bodies: reach-box prefilter and pruning against the reach
+
+
+def unfiltered_first_hit_time(tess, body):
+    """Reference scan: the predicate on every chord, no prefilter."""
+    times = [e.time for e in tess.internal_edges if segment_hits_body(e.a, e.b, body)]
+    return min(times, default=math.inf)
+
+
+def unfiltered_hits_internal(tess, body):
+    return any(segment_hits_body(e.a, e.b, body) for e in tess.internal_edges)
+
+
+# A sliver whose tip angle is 2e-5: contains_point counts points up to
+# EPS / sin(1e-5) = 1e-4 past the tip, a hundred times PRUNE_MARGIN.
+SLIVER = ConvexPolygon(((0.0, 0.0), (1.0, -1e-5), (1.0, 1e-5)))
+SLIVER_WINDOW = box(-1.0, -1.0, 2.0, 1.0)
+
+
+def chord_tessellation(window, chords):
+    """A tessellation with the given (a, b) chords at times 0.1, 0.2, ..."""
+    edges = tuple(Edge(a, b, 0.1 * (k + 1)) for k, (a, b) in enumerate(chords))
+    return Tessellation(window=window, time=1.0, cells=(), internal_edges=edges)
+
+
+class TestSliverReach:
+    def test_cell_past_the_tip_is_kept(self):
+        # Before the reach was used, this cell was pruned although a chord
+        # inside it hits the sliver.
+        assert contains_point(SLIVER, (-4.5e-5, 0.0))
+        assert segment_hits_body((-4.5e-5, 0.0), (-4.5e-5, 1e-6), SLIVER)
+        near = _near_test([QueryBody(SLIVER, SLIVER_WINDOW)])
+        assert near(box(-5e-5, 0.0, -4e-5, 1e-6))
+        assert not near(box(-5e-4, 0.0, -4e-4, 1e-6))
+
+    @pytest.mark.parametrize("end", [-5e-6, -9e-5, -2e-4])
+    def test_chord_ending_past_the_tip(self, end):
+        tess = chord_tessellation(SLIVER_WINDOW, [((-0.5, 0.3), (end, 0.0)), ((-0.5, -0.5), (-0.4, -0.5))])
+        assert hits_internal(tess, SLIVER) == unfiltered_hits_internal(tess, SLIVER) == (end > -1e-4)
+        assert first_hit_time(tess, SLIVER) == unfiltered_first_hit_time(tess, SLIVER)
+
+    def test_needle_without_placeable_corner_is_never_pruned(self):
+        needle = ConvexPolygon(((0.0, 0.0), (1.5, -1e-7), (1.5, 1e-7)))
+        query = QueryBody(needle, SLIVER_WINDOW)
+        assert query.reaches == (None,)
+        assert _near_test([query]) is None
+        tess = chord_tessellation(SLIVER_WINDOW, [((-0.9, 0.5), (-0.9, -0.5)), ((-0.5, 0.3), (-1e-3, 0.0))])
+        assert hits_internal(tess, needle) == unfiltered_hits_internal(tess, needle)
+        assert first_hit_time(tess, needle) == unfiltered_first_hit_time(tess, needle)
+
+    def test_first_hit_matches_full_simulation(self, iso):
+        window = default_window(SLIVER)
+        for seed in range(40):
+            p = params(window, 2.0, iso, mix_seed(9300, seed))
+            assert first_hit(p, [SLIVER]) == unfiltered_first_hit_time(simulate(p), SLIVER)
+
+
+@pytest.fixture(scope="module")
+def property_tessellations():
+    """Small tessellations shared by the property tests."""
+    return {
+        name: simulate(params(box(0.0, 0.0, 6.0, 6.0), 2.5, measure, 4242))
+        for name, measure in (("isotropic", isotropic_measure()), ("axis", axis_measure()))
+    }
+
+
+def piece_at(kind, x, y, size, theta):
+    """A point, a segment, a sliver with its tip at (x, y), or a small square."""
+    c, s = math.cos(theta), math.sin(theta)
+    if kind == "point":
+        return ConvexPolygon(((x, y),))
+    if kind == "segment":
+        return ConvexPolygon(((x, y), (x + size * c, y + size * s)))
+    if kind == "sliver":
+        w = 1e-5 * size
+        return ConvexPolygon(((x, y), (x + size * c + w * s, y + size * s - w * c), (x + size * c - w * s, y + size * s + w * c)))
+    return ConvexPolygon(((x, y), (x + size * c, y + size * s), (x + size * (c - s), y + size * (s + c)), (x - size * s, y + size * c)))
+
+
+KINDS = st.sampled_from(["point", "segment", "sliver", "square"])
+SIZES = st.sampled_from([1e-9, 1e-6, 1e-3, 0.3, 2.0])
+
+
+@st.composite
+def query_bodies(draw, tess):
+    """Random bodies, or bodies placed within 1e-9 of a chord (touching or just missing)."""
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    size = draw(SIZES)
+    if draw(st.booleans()):
+        e = tess.internal_edges[draw(st.integers(0, len(tess.internal_edges) - 1))]
+        t = draw(st.sampled_from([0.0, 1.0, draw(st.floats(-0.01, 1.01))]))
+        dx, dy = e.b[0] - e.a[0], e.b[1] - e.a[1]
+        ln = math.hypot(dx, dy)
+        off = draw(st.floats(-1e-9, 1e-9))
+        x, y = e.a[0] + t * dx - off * dy / ln, e.a[1] + t * dy + off * dx / ln
+    else:
+        x, y = draw(st.floats(0.5, 5.5)), draw(st.floats(0.5, 5.5))
+    first = piece_at(draw(KINDS), x, y, size, theta)
+    if not draw(st.booleans()):
+        return first
+    other = piece_at(draw(KINDS), draw(st.floats(0.5, 5.5)), draw(st.floats(0.5, 5.5)), draw(SIZES), theta)
+    return CompactSet.of(first, other)
+
+
+class TestPrefilterMatchesUnfilteredScan:
+    @pytest.mark.parametrize("name", ["isotropic", "axis"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_queries(self, property_tessellations, name, data):
+        tess = property_tessellations[name]
+        body = data.draw(query_bodies(tess))
+        pieces = body.pieces if isinstance(body, CompactSet) else (body,)
+        if any(interior_clearance(tess.window, v) <= 1e-9 for p in pieces for v in p.vertices):
+            return
+        assert hits_internal(tess, body) == unfiltered_hits_internal(tess, body)
+        assert first_hit_time(tess, body) == unfiltered_first_hit_time(tess, body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi), st.floats(-2e-9, 1e-4), st.floats(1e-7, 1e-2), st.sampled_from([1e-5, 1e-3, 0.3]))
+    def test_pruning_keeps_every_cell_the_predicate_reaches(self, phi, past, half_angle, cell_size):
+        # A point past a sliver's tip that the predicate counts must lie in a
+        # kept cell, whatever the cell's size.
+        c, s = math.cos(phi), math.sin(phi)
+        tip = (3.0, 3.0)
+        far = [(3.0 + c * math.cos(half_angle) - sg * s * math.sin(half_angle),
+                3.0 + s * math.cos(half_angle) + sg * c * math.sin(half_angle)) for sg in (-1.0, 1.0)]
+        piece = ConvexPolygon((tip, far[0], far[1]))
+        p = (tip[0] - past * c, tip[1] - past * s)
+        if not segment_hits_body(p, p, piece):
+            return
+        near = _near_test([QueryBody(piece, box(0.0, 0.0, 6.0, 6.0))])
+        if near is not None:
+            assert near(box(p[0], p[1], p[0] + cell_size, p[1] + cell_size))
+            assert near(box(p[0] - cell_size, p[1] - cell_size, p[0], p[1]))
 
 
 class TestEstimatorsMatchFullSimulation:
