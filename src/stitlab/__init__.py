@@ -41,10 +41,8 @@ from .geometry import (
 from .measure import (
     DirectionalMeasure,
     MeasureError,
-    MeasureReport,
     axis_measure,
     hit_mass,
-    hit_mass_report,
     isotropic_measure,
     min_separation_rate,
     sample_hitting,

@@ -12,6 +12,8 @@ Each replicate asks only when a division chord first meets the query
 bodies, so it expands only the cells that meet them and stops at the first
 hitting chord (``stit.HitQuery``). Per seed, the result is bit-identical to
 simulating the whole tessellation of the window and scanning its chords.
+The reference (window-tree) construction, which has the same law, is not
+here: it lives with the property checks, in ``checks.window_tree_first_hits``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 from .geometry import CompactSet, ConvexPolygon, convex_hull, diameter, dilate, hull_of
 from .measure import DirectionalMeasure, hit_mass
-from .stit import HitQuery, SimulationParams, first_hit_time, mix_seed, simulate
+from .stit import HitQuery, mix_seed
 
 Body = ConvexPolygon | CompactSet
 
@@ -102,29 +104,16 @@ def replicate_first_hits(
     n: int,
     seed: int,
     window: ConvexPolygon,
-    variant: str = "cell-rate",
 ) -> list[float]:
     """When a division chord first meets any of the bodies, in each of n runs.
 
     Run i has seed mix_seed(seed, i); a run in which no chord meets a body
-    by the time parameter gives inf. The production ("cell-rate")
-    construction answers through ``stit.HitQuery``: the bodies are checked
-    once to lie in the window's interior, and each run expands only the
-    cells that meet them and stops at the first hitting chord. The
-    reference ("window-tree") construction simulates every whole
-    tessellation.
+    by the time parameter gives inf. The bodies are checked once to lie in
+    the window's interior (``stit.HitQuery``), and each run expands only the
+    cells that meet them and stops at the first hitting chord.
     """
-    if variant == "cell-rate":
-        query = HitQuery(window, bodies)
-        return [query.first_hit(time, measure, mix_seed(seed, i)) for i in range(n)]
-    taus = []
-    for i in range(n):
-        tess = simulate(
-            SimulationParams(window=window, time=time, measure=measure, seed=mix_seed(seed, i)),
-            variant=variant,
-        )
-        taus.append(min(first_hit_time(tess, body) for body in bodies))
-    return taus
+    query = HitQuery(window, bodies)
+    return [query.first_hit(time, measure, mix_seed(seed, i)) for i in range(n)]
 
 
 def mc_missing(

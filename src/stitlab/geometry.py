@@ -567,6 +567,13 @@ def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
 
 
 def segment_segment_distance(p1: Point, p2: Point, q1: Point, q2: Point) -> float:
+    """Distance between segments p1p2 and q1q2, to rounding (about 0 where they cross)."""
+    ends = min(
+        _point_segment_distance(p1, q1, q2),
+        _point_segment_distance(p2, q1, q2),
+        _point_segment_distance(q1, p1, p2),
+        _point_segment_distance(q2, p1, p2),
+    )
     d1 = (p2[0] - p1[0], p2[1] - p1[1])
     d2 = (q2[0] - q1[0], q2[1] - q1[1])
     denom = d1[0] * d2[1] - d1[1] * d2[0]
@@ -575,13 +582,13 @@ def segment_segment_distance(p1: Point, p2: Point, q1: Point, q2: Point) -> floa
         t = (rx * d2[1] - ry * d2[0]) / denom
         s = (rx * d1[1] - ry * d1[0]) / denom
         if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-            return 0.0
-    return min(
-        _point_segment_distance(p1, q1, q2),
-        _point_segment_distance(p2, q1, q2),
-        _point_segment_distance(q1, p1, p2),
-        _point_segment_distance(q2, p1, p2),
-    )
+            # For nearly parallel segments denom is mostly rounding, and so
+            # are t and s: no bare 0. The point at t lies on p1p2 whatever t
+            # is, so its distance to q1q2 bounds theirs from above, and it is
+            # rounding-small where they truly cross.
+            crossing = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+            return min(ends, _point_segment_distance(crossing, q1, q2))
+    return ends
 
 
 def contains_point(poly: ConvexPolygon, p: Point, tol: float = EPS) -> bool:

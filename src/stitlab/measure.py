@@ -129,15 +129,6 @@ def validate_measure(measure: DirectionalMeasure) -> None:
             break
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Hitting mass of a body with its per-component breakdown."""
-
-    lambda_hit: float
-    atom_parts: tuple[float, ...]
-    isotropic_part: float
-
-
 def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> float:
     """Measure of all lines hitting the (connected) body.
 
@@ -156,18 +147,6 @@ def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> f
         lo, hi = projection_bounds(verts, u.x, u.y)
         total += w * (max(0.0, hi) - max(0.0, lo))
     return total
-
-
-def hit_mass_report(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> MeasureReport:
-    """Hitting mass of a connected body, broken down per measure component."""
-    if isinstance(body, CompactSet) and not body.connected:
-        raise MeasureError(
-            "lambda_hit requires a connected set; use the Monte Carlo estimators"
-        )
-    hull = hull_of(body)
-    atom_parts = tuple(w * hit_length(hull, u) for u, w in measure.atoms)
-    iso = measure.isotropic_mass / TWO_PI * perimeter(hull)
-    return MeasureReport(sum(atom_parts) + iso, atom_parts, iso)
 
 
 def separation_rate(measure: DirectionalMeasure, u: Direction) -> float:

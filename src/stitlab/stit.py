@@ -172,30 +172,26 @@ class _Lineage:
 
 def _divisions(
     params: SimulationParams,
-    variant: str,
     lineage: _Lineage,
     near: Callable[[ConvexPolygon], bool] | None = None,
 ) -> Iterator[tuple[float, tuple[Point, Point] | None]]:
     """Run the division process, yielding (time, chord) per event in time order.
 
     The one division loop behind ``simulate`` and ``first_hit``, so both take
-    the same draws from each cell's stream in the same order. Cells are
-    recorded in ``lineage``. With ``near`` given, a child is spawned only if
-    ``near(child polygon)`` holds; a child left out takes its whole subtree
-    with it, because descendants and their chords lie inside it, and every
-    kept cell still gets exactly the draws it gets in the full run.
+    the same draws from each cell's stream in the same order: a cell dies at
+    rate equal to its own hitting mass and is divided by a line drawn from
+    its own hitting law. Cells are recorded in ``lineage``. With ``near``
+    given, a child is spawned only if ``near(child polygon)`` holds; a child
+    left out takes its whole subtree with it, because descendants and their
+    chords lie inside it, and every kept cell still gets exactly the draws
+    it gets in the full run.
     """
-    if variant not in ("cell-rate", "window-tree"):
-        raise ValueError(f"unknown variant {variant!r}")
     window = params.window
     if len(window.vertices) < 3 or area(window) <= 0.0:
         raise GeometryError("simulation window must have positive area")
     validate_measure(params.measure)
     measure = params.measure
     horizon = params.time
-
-    tree = variant == "window-tree"
-    window_rate = hit_mass(measure, window) if tree else 0.0
 
     polys = lineage.polys
     births = lineage.births
@@ -211,7 +207,7 @@ def _divisions(
         if near is not None and not near(poly):
             return
         gen = SplitStream(_fold(prefix, cid))
-        rate = window_rate if tree else hit_mass(measure, poly)
+        rate = hit_mass(measure, poly)
         death = birth + gen.exponential(1.0 / rate) if rate > 0.0 else math.inf
         polys[cid] = poly
         births[cid] = birth
@@ -233,25 +229,14 @@ def _divisions(
             )
         poly = polys[cid]
         gen = gens.pop(cid)
-
-        if tree:
-            plane = sample_hitting(measure, window, gen)
+        for _ in range(64):
+            plane = sample_hitting(measure, poly, gen)
             minus = clip(poly, plane, "minus")
             plus = clip(poly, plane, "plus")
-            if minus is None or plus is None:
-                # The window line missed this cell: it survives relabelled.
-                child = 2 * cid if plus is None else 2 * cid + 1
-                spawn(child, cid, poly, death)
-                continue
+            if minus is not None and plus is not None:
+                break
         else:
-            for _ in range(64):
-                plane = sample_hitting(measure, poly, gen)
-                minus = clip(poly, plane, "minus")
-                plus = clip(poly, plane, "plus")
-                if minus is not None and plus is not None:
-                    break
-            else:
-                raise RuntimeError("could not draw a dividing line for a cell")
+            raise RuntimeError("could not draw a dividing line for a cell")
 
         planes[cid] = plane
         yield death, chord(poly, plane)
@@ -259,22 +244,14 @@ def _divisions(
         spawn(2 * cid + 1, cid, plus, death)
 
 
-def simulate(params: SimulationParams, variant: str = "cell-rate") -> Tessellation:
+def simulate(params: SimulationParams) -> Tessellation:
     """Run the cell-division process in the window up to the time parameter.
 
-    ``variant`` selects the production construction ("cell-rate": each cell
-    dies at rate equal to its own hitting mass and is divided by a line drawn
-    from its own hitting law) or the reference one ("window-tree": every cell
-    carries the window's rate and a window-law line, which may miss the cell,
-    in which case the cell survives under a new label). Both have the same
-    law; the reference variant exists as a cross-check.
+    Each cell dies at rate equal to its own hitting mass and is divided by a
+    line drawn from its own hitting law, so both children are non-empty.
     """
     lineage = _Lineage()
-    edges = [
-        Edge(cut[0], cut[1], death)
-        for death, cut in _divisions(params, variant, lineage)
-        if cut is not None
-    ]
+    edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, lineage) if cut is not None]
     polys = lineage.polys
     deaths = lineage.deaths
     horizon = params.time
@@ -435,9 +412,7 @@ class QueryBody:
     them. A chord whose bounding box misses that box cannot meet the body,
     so ``segment_hits_body`` need only be called for the chords that pass
     this four-comparison test: ``meets`` tests one chord, ``candidates``
-    filters a scan. (Only where ``segment_segment_distance`` returns 0 for
-    nearly collinear segments that do not meet can the full scan count a
-    chord that this test rejects.)
+    filters a scan.
     """
 
     __slots__ = ("body", "reaches", "box")
@@ -598,7 +573,7 @@ class HitQuery:
         """``first_hit`` of the prepared bodies for one (time, measure, seed)."""
         params = SimulationParams(window=self.window, time=time, measure=measure, seed=seed)
         queries = self._queries
-        for death, cut in _divisions(params, "cell-rate", _Lineage(), self._near):
+        for death, cut in _divisions(params, _Lineage(), self._near):
             if cut is not None and any(q.meets(cut[0], cut[1]) for q in queries):
                 return death
         return math.inf
@@ -614,7 +589,7 @@ def first_hit(params: SimulationParams, bodies: Sequence[ConvexPolygon | Compact
     within PRUNE_MARGIN of a body's reach, and returns at the first event
     whose chord meets one (events pop in time order). Consequently
     ``EVENT_CAP`` counts expanded events only, and cells that are never
-    expanded cannot fail. Uses the production ("cell-rate") construction.
+    expanded cannot fail.
     """
     return HitQuery(params.window, bodies).first_hit(params.time, params.measure, params.seed)
 

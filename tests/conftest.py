@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from stitlab.geometry import ConvexPolygon, box, convex_hull
+from stitlab.checks import SUITES, random_convex_polygon, random_direction  # noqa: F401 (shared with tests)
+from stitlab.geometry import box
 from stitlab.measure import axis_measure, isotropic_measure
 
 
@@ -26,19 +24,7 @@ def unit_square():
     return box(0.0, 0.0, 1.0, 1.0)
 
 
-@pytest.fixture
-def unit_segment():
-    return ConvexPolygon(((0.0, 0.0), (1.0, 0.0)))
-
-
-def random_convex_polygon(rng: np.random.Generator, scale: float = 1.0, max_pts: int = 10) -> ConvexPolygon:
-    n = int(rng.integers(3, max_pts + 1))
-    pts = rng.uniform(-scale, scale, size=(n, 2))
-    offset = rng.uniform(-2.0 * scale, 2.0 * scale, size=2)
-    return convex_hull([(x + offset[0], y + offset[1]) for x, y in pts])
-
-
-def random_direction(rng: np.random.Generator):
-    from stitlab.geometry import Direction
-
-    return Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+def assert_check(name: str) -> None:
+    """Run one ``stitlab validate`` check; its detail is the failure message."""
+    ok, detail = SUITES["all"][name]()
+    assert ok, detail

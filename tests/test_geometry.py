@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_convex_polygon, random_direction
+from conftest import assert_check, random_convex_polygon, random_direction
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
@@ -20,8 +21,6 @@ from stitlab.geometry import (
     chord,
     clip,
     clip_segment_to_polygon,
-    compact_from_json,
-    compact_to_json,
     contains_point,
     convex_hull,
     _canonical_loop,
@@ -35,14 +34,13 @@ from stitlab.geometry import (
     interior_clearance,
     perimeter,
     piece_distance,
-    polygon_from_json,
     polygon_intersection,
-    polygon_to_json,
     projection_bounds,
     regular_polygon,
     rotate,
     scale,
     segment_hits_body,
+    segment_segment_distance,
     separates,
     support,
     translate,
@@ -99,11 +97,7 @@ class TestConvexHull:
             convex_hull([])
 
     def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = random_convex_polygon(rng)
-            again = convex_hull(p.vertices)
-            assert again.vertices == p.vertices
+        assert_check("geometry.hull_idempotent")
 
 
 class TestPolygonConstruction:
@@ -154,16 +148,7 @@ class TestClip:
         assert math.isclose(diameter(part), 0.5)
 
     def test_partition_of_area(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            p = random_convex_polygon(rng)
-            u = random_direction(rng)
-            r = rng.uniform(0.0, 3.0)
-            plane = Hyperplane(r, u)
-            lo = clip(p, plane, "minus")
-            hi = clip(p, plane, "plus")
-            total = (area(lo) if lo else 0.0) + (area(hi) if hi else 0.0)
-            assert abs(total - area(p)) <= 1e-9 * max(area(p), 1.0)
+        assert_check("geometry.clip_partition")
 
 
 class TestSupport:
@@ -202,15 +187,7 @@ class TestHits:
         assert hits(Hyperplane(1.0, E1), two_points)
 
     def test_predicate_matches_interval(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10_000):
-            p = random_convex_polygon(rng)
-            u = random_direction(rng)
-            r = rng.uniform(0.0, 4.0)
-            iv = hit_interval(p, u)
-            lo, hi = max(0.0, iv.lo), max(0.0, iv.hi)
-            in_interval = hi > iv.lo and lo - 1e-9 <= r <= hi + 1e-9
-            assert hits(Hyperplane(r, u), p) == in_interval
+        assert_check("geometry.hits_matches_interval")
 
 
 class TestSeparates:
@@ -225,21 +202,7 @@ class TestSeparates:
         assert not separates(Hyperplane(0.5, E1), unit_square, b)
 
     def test_implies_missing_both(self):
-        rng = np.random.default_rng(23)
-        found = 0
-        for _ in range(2000):
-            a = random_convex_polygon(rng, scale=0.5)
-            b = random_convex_polygon(rng, scale=0.5)
-            u = random_direction(rng)
-            r = rng.uniform(0.0, 3.0)
-            plane = Hyperplane(r, u)
-            if separates(plane, a, b):
-                found += 1
-                assert not hits(plane, a) and not hits(plane, b)
-                offs_a = [plane.offset(v) for v in a.vertices]
-                offs_b = [plane.offset(v) for v in b.vertices]
-                assert (max(offs_a) < 0 < min(offs_b)) or (max(offs_b) < 0 < min(offs_a))
-        assert found > 50
+        assert_check("geometry.separates_consistent")
 
 
 class TestMetrics:
@@ -304,6 +267,68 @@ class TestCompactSet:
             )
             assert got <= brute + 1e-12
             assert brute - got <= 0.2  # sampling resolution slack
+
+
+def exact_segment_distance(p1, p2, q1, q2):
+    """Distance between two segments, computed in rational arithmetic."""
+    p1, p2, q1, q2 = [(Fraction(x), Fraction(y)) for x, y in (p1, p2, q1, q2)]
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    if orient(p1, p2, q1) * orient(p1, p2, q2) < 0 and orient(q1, q2, p1) * orient(q1, q2, p2) < 0:
+        return 0.0
+
+    def squared(p, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        t = min(max(t, Fraction(0)), Fraction(1))
+        return (p[0] - a[0] - t * dx) ** 2 + (p[1] - a[1] - t * dy) ** 2
+
+    return math.sqrt(min(squared(p1, q1, q2), squared(p2, q1, q2), squared(q1, p1, p2), squared(q2, p1, p2)))
+
+
+class TestSegmentDistance:
+    """Nearly collinear segments that do not meet are as far apart as they are."""
+
+    # A chord and a segment body 5.8e-7 apart end to end, once counted as a hit.
+    CHORD = ((7.714867500121967, 22.77936047363058), (15.21895475083641, 19.044889105823874))
+    BODY = ((15.21895527385473, 19.04488884553946), (16.03933380805723, 18.636620651902614))
+
+    def test_logged_pair(self):
+        exact = exact_segment_distance(*self.CHORD, *self.BODY)
+        assert exact == pytest.approx(5.842e-7, rel=1e-3)
+        assert abs(segment_segment_distance(*self.CHORD, *self.BODY) - exact) <= 1e-12
+        assert not segment_hits_body(*self.CHORD, ConvexPolygon(self.BODY))
+        assert piece_distance(ConvexPolygon(self.CHORD), ConvexPolygon(self.BODY)) == pytest.approx(exact, abs=1e-12)
+
+    def test_head_to_tail_family(self):
+        # The second segment starts a gap past the first one's end, turned by
+        # a small angle: rounding decides every cross product here.
+        rng = np.random.default_rng(2029)
+        for _ in range(2000):
+            x, y = rng.uniform(-20.0, 20.0, size=2)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            angle = 10.0 ** rng.uniform(-16.0, -6.0) * rng.choice([-1.0, 1.0])
+            gap = 10.0 ** rng.uniform(-9.0, -6.0)
+            len_p, len_q = rng.uniform(0.5, 10.0, size=2)
+            p1 = (float(x), float(y))
+            p2 = (float(x + len_p * math.cos(phi)), float(y + len_p * math.sin(phi)))
+            q1 = (p2[0] + gap * math.cos(phi), p2[1] + gap * math.sin(phi))
+            q2 = (q1[0] + len_q * math.cos(phi + angle), q1[1] + len_q * math.sin(phi + angle))
+            exact = exact_segment_distance(p1, p2, q1, q2)
+            for a, b, c, d in ((p1, p2, q1, q2), (q2, q1, p2, p1)):
+                assert abs(segment_segment_distance(a, b, c, d) - exact) <= 1e-12
+            assert piece_distance(ConvexPolygon((p1, p2)), ConvexPolygon((q1, q2))) == pytest.approx(exact, abs=1e-12)
+            if abs(exact - 1e-9) > 1e-12:
+                assert segment_hits_body(p1, p2, ConvexPolygon((q1, q2))) == (exact <= 1e-9)
+
+    def test_crossing_segments_are_at_rounding_distance(self):
+        rng = np.random.default_rng(2030)
+        for _ in range(500):
+            a, b, c, d = (tuple(map(float, rng.uniform(-20.0, 20.0, size=2))) for _ in range(4))
+            exact = exact_segment_distance(a, b, c, d)
+            assert abs(segment_segment_distance(a, b, c, d) - exact) <= 1e-12
 
 
 class TestIntersectionAndContainment:
@@ -373,15 +398,10 @@ class TestMotions:
 
 class TestJson:
     def test_polygon_roundtrip(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            p = random_convex_polygon(rng)
-            assert polygon_from_json(polygon_to_json(p)).vertices == p.vertices
+        assert_check("io.json_roundtrips")
 
     def test_compact_roundtrip(self):
-        k = CompactSet.of(box(0, 0, 1, 1), box(2, 0, 3, 1))
-        k2 = compact_from_json(compact_to_json(k))
-        assert k2 == k and k2.connected == k.connected
+        assert_check("io.json_roundtrips")
 
 
 def test_regular_polygon_perimeter():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_convex_polygon
+from conftest import assert_check, random_convex_polygon
 from stitlab.geometry import ConvexPolygon, Direction, box, translate
 from stitlab.measure import DirectionalMeasure, hit_mass, separating_mass
 from stitlab.mixing import (
@@ -224,16 +224,8 @@ class TestSweep:
                 measure=iso,
             )
 
-    def test_mc_spot_check_small_h(self, axes):
-        rows = sweep(self.default_config(axes, mc_n=1500, distances=(4.0,)))
-        r = rows[0]
-        assert r.joint_mc is not None
-        tol = r.gamma_complement_bound + 4.0 * r.joint_mc.stderr
-        assert abs(r.joint_mc.mean - r.joint_gamma_exact) <= tol
-        # Covariance bound: the joint estimate may sit above the product of
-        # the marginals by no more than the mixing constant allows.
-        budget = 4.0 * r.joint_mc.stderr + 1.1 * r.chi_bound / (r.h_norm * r.zeta)
-        assert abs(r.joint_mc.mean - r.product_exact) <= budget
+    def test_mc_spot_check_small_h(self):
+        assert_check("mixing.joint_mc_spot")
 
     def test_csv_layout(self, iso):
         rows = sweep(self.default_config(iso, distances=(5.0, 10.0)))
@@ -263,12 +255,7 @@ class TestFitDecayExponent:
         ]
 
     def test_exact_inverse_law_gives_minus_one(self):
-        hs = [25.0, 50.0, 100.0, 200.0, 400.0]
-        rows = self.make_rows(hs, [0.7 / h for h in hs])
-        slope, intercept, residual = fit_decay_exponent(rows)
-        assert abs(slope + 1.0) <= 1e-12
-        assert math.isclose(math.exp(intercept), 0.7, rel_tol=1e-9)
-        assert residual <= 1e-12
+        assert_check("mixing.fit_synthetic")
 
     def test_constant_rows_give_zero_slope(self):
         rows = self.make_rows([10.0, 20.0, 40.0, 80.0], [0.3, 0.3, 0.3, 0.3])

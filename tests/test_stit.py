@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_check
 import stitlab.stit as stit_mod
 from stitlab.capacity import (
     Estimate,
@@ -14,8 +15,8 @@ from stitlab.capacity import (
     increment_check,
     mc_joint,
     mc_missing,
-    replicate_first_hits,
 )
+from stitlab.checks import window_tree_first_hits
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
@@ -60,11 +61,6 @@ def params(window, time, measure, seed, **kw):
     return SimulationParams(window=window, time=time, measure=measure, seed=seed, **kw)
 
 
-def missing_fraction(window, body, time, measure, n, seed, variant="cell-rate"):
-    taus = replicate_first_hits([body], time, measure, n, seed, window, variant=variant)
-    return taus.count(math.inf) / n
-
-
 class TestStreams:
     def test_mix_seed_stable(self):
         assert mix_seed(1, 2) == mix_seed(1, 2)
@@ -95,16 +91,11 @@ class TestSimulate:
         t = simulate(params(box(0, 0, 4, 4), 0.0, iso, 9))
         assert len(t.live_cells) == 1 and not t.internal_edges
 
-    def test_area_conservation(self, iso):
-        t = simulate(params(box(0, 0, 10, 10), 1.0, iso, 42))
-        total = sum(area(c.polygon) for c in t.live_cells)
-        assert abs(total - 100.0) <= 1e-6 * 100.0
-        assert len(t.live_cells) > 10
+    def test_area_conservation(self):
+        assert_check("stit.area_partition")
 
-    def test_determinism_bit_identical(self, iso):
-        a = simulate(params(box(0, 0, 5, 5), 1.0, iso, 1234))
-        b = simulate(params(box(0, 0, 5, 5), 1.0, iso, 1234))
-        assert a == b
+    def test_determinism_bit_identical(self):
+        assert_check("stit.determinism")
 
     def test_seed_changes_output(self, iso):
         a = simulate(params(box(0, 0, 5, 5), 1.0, iso, 1))
@@ -143,47 +134,15 @@ class TestSimulate:
             assert clip(cell.polygon, plane, "minus").vertices == lo.polygon.vertices
             assert clip(cell.polygon, plane, "plus").vertices == hi.polygon.vertices
 
-    def test_prefix_property_of_longer_runs(self, iso):
-        w = box(0, 0, 3, 3)
-        short = simulate(params(w, 0.6, iso, 77, retain_lineage=True))
-        long = simulate(params(w, 1.0, iso, 77, retain_lineage=True))
-        short_ids = {c.id for c in short.cells}
-        long_by_id = {c.id: c for c in long.cells}
-        for c in short.cells:
-            other = long_by_id[c.id]
-            assert other.polygon == c.polygon
-            assert other.birth_time == c.birth_time
-            assert other.death_time == c.death_time
-        assert short_ids <= set(long_by_id)
-        early_long = sorted(e for e in long.internal_edges if e.time <= 0.6)
-        assert sorted(short.internal_edges) == early_long
+    def test_prefix_property_of_longer_runs(self):
+        assert_check("stit.prefix_coupling")
 
-    def test_missing_probability_matches_analytic(self, iso):
-        k = box(1.0, 1.0, 2.0, 2.0)
-        w = box(0, 0, 3, 3)
-        n = 2000
-        p = missing_fraction(w, k, 1.0, iso, n, seed=2024)
-        target = math.exp(-hit_mass(iso, k))
-        se = math.sqrt(target * (1 - target) / n)
-        assert abs(p - target) <= 4.0 * se
-
-    def test_variant_equivalence(self, iso):
-        k = box(1.0, 1.0, 2.0, 2.0)
-        w = box(0.2, 0.2, 2.8, 2.8)
-        n = 4000
-        p_cell = missing_fraction(w, k, 1.0, iso, n, seed=5, variant="cell-rate")
-        p_tree = missing_fraction(w, k, 1.0, iso, n, seed=6, variant="window-tree")
-        target = math.exp(-hit_mass(iso, k))
-        se = math.sqrt(2.0 * target * (1 - target) / n)
-        assert abs(p_cell - p_tree) <= 4.0 * se
+    def test_missing_probability_matches_analytic(self):
+        assert_check("capacity.mc_matches_analytic")
 
     def test_bad_window_rejected(self, iso):
         with pytest.raises(GeometryError, match="positive area"):
             simulate(params(ConvexPolygon(((0.0, 0.0), (1.0, 0.0))), 1.0, iso, 1))
-
-    def test_unknown_variant_rejected(self, iso):
-        with pytest.raises(ValueError, match="variant"):
-            simulate(params(box(0, 0, 1, 1), 1.0, iso, 1), variant="magic")
 
     def test_event_cap(self, iso, monkeypatch):
         monkeypatch.setattr(stit_mod, "EVENT_CAP", 5)
@@ -200,13 +159,8 @@ class TestSimulate:
 
 
 class TestRestrict:
-    def test_identity_on_full_window(self, iso):
-        t = simulate(params(box(0, 0, 4, 4), 0.8, iso, 31))
-        r = restrict(t, t.window)
-        assert [c.polygon for c in r.live_cells] == [c.polygon for c in t.live_cells]
-        assert [(e.a, e.b) for e in r.internal_edges] == [
-            (e.a, e.b) for e in t.internal_edges
-        ]
+    def test_identity_on_full_window(self):
+        assert_check("stit.restrict_identity")
 
     def test_area_conservation(self, iso):
         t = simulate(params(box(0, 0, 4, 4), 0.8, iso, 33))
@@ -226,22 +180,6 @@ class TestRestrict:
         t = simulate(params(box(0, 0, 2, 2), 0.5, iso, 39))
         with pytest.raises(GeometryError, match="not contained"):
             restrict(t, box(1.0, 1.0, 3.0, 3.0))
-
-    def test_distributional_consistency(self, iso):
-        k = box(1.0, 1.0, 2.0, 2.0)
-        small = box(0.3, 0.3, 2.7, 2.7)
-        big = box(0, 0, 4, 4)
-        n = 1500
-        direct = missing_fraction(small, k, 0.8, iso, n, seed=41)
-        via_restrict = 0
-        for i in range(n):
-            t = simulate(params(big, 0.8, iso, mix_seed(43, i)))
-            if not hits_internal(restrict(t, small), k):
-                via_restrict += 1
-        via_restrict /= n
-        p = math.exp(-0.8 * hit_mass(iso, k))
-        se = math.sqrt(2.0 * p * (1 - p) / n)
-        assert abs(direct - via_restrict) <= 4.0 * se
 
 
 class TestNest:
@@ -268,22 +206,6 @@ class TestNest:
     def test_deterministic(self, iso):
         t = simulate(params(box(0, 0, 3, 3), 0.5, iso, 57))
         assert nest(t, 0.5, iso, seed=7) == nest(t, 0.5, iso, seed=7)
-
-    def test_iteration_stability_light(self, iso):
-        # Missing probability of nest(Y_a, a) should match exp(-2a Lambda([K])).
-        k = box(1.0, 1.0, 2.0, 2.0)
-        w = box(0.4, 0.4, 2.6, 2.6)
-        a = 0.4
-        n = 1500
-        miss = 0
-        for i in range(n):
-            t = simulate(params(w, a, iso, mix_seed(61, i)))
-            z = nest(t, a, iso, seed=mix_seed(62, i))
-            if not hits_internal(z, k):
-                miss += 1
-        target = math.exp(-2.0 * a * hit_mass(iso, k))
-        se = math.sqrt(target * (1 - target) / n)
-        assert abs(miss / n - target) <= 4.0 * se
 
 
 class TestRescaleAndQueries:
@@ -626,13 +548,15 @@ class TestEstimatorsMatchFullSimulation:
         assert (rep.increment, rep.stderr, rep.n, rep.seed) == (want.mean, want.stderr, n, seed)
 
     def test_window_tree_reference_loop(self, iso):
-        # The reference variant of the shared loop simulates whole tessellations.
-        body = box(1.0, 1.0, 2.0, 2.0)
-        window = box(0.2, 0.2, 2.8, 2.8)
-        taus = replicate_first_hits([body], 1.0, iso, 20, 6, window, variant="window-tree")
-        expected = [
-            first_hit_time(simulate(params(window, 1.0, iso, mix_seed(6, i)), variant="window-tree"), body)
-            for i in range(20)
+        # The reference loop of the variant-equivalence check gives, seed for
+        # seed, the first hits of the window-tree construction as a whole
+        # simulation with a chord scan gave them (values recorded from one).
+        taus = window_tree_first_hits(box(1.0, 1.0, 2.0, 2.0), 1.0, iso, 20, 6, box(0.2, 0.2, 2.8, 2.8))
+        assert taus == [
+            0.11173393298244633, 0.07662220607196467, 0.32534246492948315, 0.02325714944100478,
+            0.2813052796686169, 0.18521067272571923, 0.031610303528268, 0.08803780465324716,
+            0.39271336609134766, 0.08866579805207968, 0.15888149913554242, 0.16064113433331403,
+            0.19345875682451555, 0.012166151364209975, 0.20741992564275746, 0.4236953901333945,
+            0.0525652203505758, 0.011705521006886703, 0.13813314517577718, 0.03183594254315614,
         ]
-        assert taus == expected
 
