@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -560,3 +562,40 @@ class TestEstimatorsMatchFullSimulation:
             0.0525652203505758, 0.011705521006886703, 0.13813314517577718, 0.03183594254315614,
         ]
 
+
+
+class TestPinnedOutputs:
+    """Per-seed outputs recorded from an earlier division loop, which kept
+    per-cell side tables: any change to the draws, their order or the cells
+    kept shows here as a changed value."""
+
+    @pytest.mark.parametrize(
+        "window,measure_name,seed,cells,digest",
+        [
+            (box(0, 0, 4, 4), "isotropic", 1, 88, "d9621deee03956e953b4ca40680a32687715b695ad75d10aa368798053154bff"),
+            (regular_polygon(6, 3.0, (1.0, 2.0)), "axis", 2, 10, "97985f802fa817a9bc852f06b56d658e1953ff5143a6e0bfe2969735d65537e5"),
+            (box(0, 0, 4, 4), "mixed", 3, 32, "d5d445f9a59a23461165d4ed1731f9ec98f5c888266fdcc6470b5bd6de182777"),
+        ],
+    )
+    def test_tessellation_json(self, window, measure_name, seed, cells, digest):
+        t = simulate(params(window, 1.0, QUERY_MEASURES[measure_name], seed))
+        doc = json.dumps(tessellation_to_json(t), sort_keys=True).encode()
+        assert (len(t.cells), hashlib.sha256(doc).hexdigest()) == (cells, digest)
+
+    def test_first_hit_times(self):
+        square = box(0.0, 0.0, 1.0, 1.0)
+        query = HitQuery(default_window(square), [square])
+        taus = {
+            name: [query.first_hit(0.8, QUERY_MEASURES[name], mix_seed(5, i)) for i in range(4)]
+            for name in ("isotropic", "axis", "mixed")
+        }
+        assert taus == {
+            "isotropic": [math.inf, 0.02360401559411951, 0.6706422960650585, 0.18426283415395567],
+            "axis": [math.inf, 0.08984385042602507, 0.2968607267767279, 0.701358734694608],
+            "mixed": [math.inf, 0.030760094724834226, 0.10163705175630108, 0.24012618574333405],
+        }
+        segment = QUERY_BODIES["segment"][0]
+        query = HitQuery(default_window(segment), [segment])
+        assert [query.first_hit(0.8, QUERY_MEASURES["axis"], mix_seed(5, i)) for i in range(6)] == [
+            math.inf, 0.16465075539955132, 0.5440365999506348, math.inf, 0.6371881575637856, math.inf,
+        ]
