@@ -66,7 +66,6 @@ from .stit import (
     HitQuery,
     SimulationParams,
     Tessellation,
-    first_hit,
     first_hit_time,
     hits_internal,
     mix_seed,

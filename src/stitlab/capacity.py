@@ -80,7 +80,7 @@ def capacity_growth_bound(
     """
     hull = hull_of(body)
     lam = hit_mass(measure, hull)
-    if isinstance(body, ConvexPolygon) or body.connected:
+    if body.connected:
         untouched = missing_probability(body, time, measure)
     else:
         if mc_n is None:

@@ -33,6 +33,7 @@ from .geometry import (
     convex_hull,
     hit_interval,
     hits,
+    hull_of,
     polygon_from_json,
     polygon_to_json,
     separates,
@@ -48,7 +49,7 @@ from .measure import (
     separating_mass,
     separation_rate,
 )
-from .mixing import MixingRow, fit_decay_exponent, joint_missing_closed_form, sweep, SweepConfig
+from .mixing import MixingRow, closed_form_ratio_minus_one, fit_decay_exponent, joint_missing_closed_form, sweep, SweepConfig
 from .stit import QueryBody, SimulationParams, cell_stream, hits_internal, mix_seed, nest, restrict, simulate
 from .svg import render_svg
 
@@ -257,15 +258,33 @@ def check_restrict_identity() -> tuple[bool, str]:
 
 def check_prefix_coupling() -> tuple[bool, str]:
     w = box(0, 0, 3, 3)
-    short = simulate(SimulationParams(window=w, time=0.6, measure=ISO, seed=77, retain_lineage=True))
-    long = simulate(SimulationParams(window=w, time=1.0, measure=ISO, seed=77, retain_lineage=True))
-    long_ids = {c.id: (c.polygon, c.birth_time, c.death_time) for c in long.cells}
+    short = simulate(SimulationParams(window=w, time=0.6, measure=ISO, seed=77))
+    long = simulate(SimulationParams(window=w, time=1.0, measure=ISO, seed=77))
+    if abs(sum(area(c.polygon) for c in short.cells) - area(w)) > 1e-9 * area(w):
+        return False, "time-0.6 cells do not tile the window"
+    accounted = survivors = children = 0
     for c in short.cells:
-        if long_ids.get(c.id) != (c.polygon, c.birth_time, c.death_time):
-            return False, f"cell {c.id} differs between horizons"
+        # The time-1.0 cells whose labels start with c's: c itself or its descendants.
+        later = [d for d in long.cells if d.id >> max(0, d.id.bit_length() - c.id.bit_length()) == c.id]
+        accounted += len(later)
+        if c.death_time > 1.0:
+            if later != [c]:
+                return False, f"cell {c.id} lives past 1.0 but differs between horizons"
+            survivors += 1
+        elif abs(sum(area(d.polygon) for d in later) - area(c.polygon)) > 1e-9 * area(c.polygon):
+            return False, f"cell {c.id} divided by 1.0 is not tiled by its descendants"
+        for d in (d for d in later if d.id // 2 == c.id):
+            if d.birth_time != c.death_time:
+                return False, f"cell {d.id} born at {d.birth_time!r}, its parent died at {c.death_time!r}"
+            children += 1
+    if accounted != len(long.cells):
+        return False, f"{len(long.cells) - accounted} time-1.0 cells descend from no time-0.6 cell"
+    chords = sum(e.time > 0.6 for e in long.internal_edges)
+    if len(long.cells) - len(short.cells) != chords:
+        return False, f"{len(long.cells) - len(short.cells)} more cells at 1.0 for {chords} chords after 0.6"
     if sorted(short.internal_edges) != sorted(e for e in long.internal_edges if e.time <= 0.6):
         return False, "chords up to time 0.6 differ between horizons"
-    return True, "time-0.6 run is a prefix of the time-1.0 run"
+    return survivors > 0 and children > 0, f"{survivors} survivors and {children} children of the time-0.6 run checked"
 
 
 def check_capacity_closed_forms() -> tuple[bool, str]:
@@ -282,27 +301,58 @@ def check_capacity_closed_forms() -> tuple[bool, str]:
     return True, "segment and square closed forms"
 
 
-def check_joint_closed_form_quadrature() -> tuple[bool, str]:
-    rng = np.random.default_rng(139)
-    for trial in range(30):
+def simpson(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 1 << 16) -> float:
+    """Composite Simpson rule with n (even) intervals for a vectorised f on [lo, hi].
+
+    On the closed-form check's integrands (rate gap times time up to ~34) the
+    default n agrees with scipy's adaptive quad to ~1e-15 relative; 2^14
+    intervals give only ~1e-13.
+    """
+    y = f(np.linspace(lo, hi, n + 1))
+    return float((hi - lo) / n / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
+def first_split_terms(a, b, time: float, measure: DirectionalMeasure) -> tuple[float, Callable]:
+    """(sep, f): the joint missing probability on the first-split event is sep * int_0^time f.
+
+    The first line to hit the joint hull separates the bodies, at time s,
+    and neither body is hit in (s, time].
+    """
+    hull = convex_hull(list(hull_of(a).vertices) + list(hull_of(b).vertices))
+    mass_a, mass_b, mass_w = (hit_mass(measure, x) for x in (a, b, hull))
+    return separating_mass(measure, a, b), lambda s: np.exp(-s * mass_w) * np.exp(-(time - s) * (mass_a + mass_b))
+
+
+def closed_form_configs() -> list[tuple[ConvexPolygon, ConvexPolygon, float, DirectionalMeasure]]:
+    """100 random (a, b, time, measure) with a separating line, over three measures."""
+    rng = np.random.default_rng(2718)
+    mixed = DirectionalMeasure(atoms=((E1, 0.3), (Direction(-1.0, 0.0), 0.3)), isotropic_mass=1.5)
+    configs = []
+    while len(configs) < 100:
         a = random_convex_polygon(rng, scale=0.6)
-        b = translate(random_convex_polygon(rng, scale=0.6), (float(rng.uniform(3.5, 10.0)), 0.0))
-        measure = ISO if trial % 2 == 0 else AXES
-        t_par = float(rng.uniform(0.2, 1.5))
-        sep = separating_mass(measure, a, b)
-        if sep <= 0.0:
-            continue
-        hull = convex_hull(list(a.vertices) + list(b.vertices))
-        mass_a, mass_b, mass_w = (hit_mass(measure, x) for x in (a, b, hull))
-        ts = np.linspace(0.0, t_par, 4097)
-        f = np.exp(-ts * mass_w) * np.exp(-(t_par - ts) * (mass_a + mass_b))
-        h = t_par / 4096.0
-        simpson = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-        oracle = sep * float(simpson)
-        got = joint_missing_closed_form(a, b, t_par, measure)
-        if abs(got - oracle) > 1e-8 * max(oracle, 1e-300):
-            return False, f"closed form {got} vs quadrature {oracle}"
-    return True, "30 random configurations"
+        shift = (float(rng.uniform(3.0, 12.0)), float(rng.uniform(-2.0, 2.0)))
+        b = translate(random_convex_polygon(rng, scale=0.6), shift)
+        time = float(rng.uniform(0.1, 2.0))
+        measure = (ISO, AXES, mixed)[len(configs) % 3]
+        if separating_mass(measure, a, b) > 0.0:
+            configs.append((a, b, time, measure))
+    return configs
+
+
+def check_joint_closed_form_quadrature() -> tuple[bool, str]:
+    worst = 0.0
+    for a, b, time, measure in closed_form_configs():
+        sep, f = first_split_terms(a, b, time, measure)
+        want = sep * simpson(f, 0.0, time)
+        got = joint_missing_closed_form(a, b, time, measure)
+        if abs(got - want) > 1e-10 * max(want, 1e-300):
+            return False, f"closed form {got} vs quadrature {want}"
+        worst = max(worst, abs(got - want) / max(want, 1e-300))
+        ratio_want = want / math.exp(-time * (hit_mass(measure, a) + hit_mass(measure, b))) - 1.0
+        ratio_got = closed_form_ratio_minus_one(a, b, time, measure)
+        if abs(ratio_got - ratio_want) > 1e-9 * max(abs(ratio_want), 1e-3):
+            return False, f"ratio - 1 {ratio_got} vs quadrature {ratio_want}"
+    return True, f"100 random configurations, worst relative gap {worst:.1e}"
 
 
 def check_fit_synthetic() -> tuple[bool, str]:

@@ -184,8 +184,7 @@ def cmd_capacity(args) -> int:
         if isinstance(window, CompactSet) or len(window.vertices) < 3:
             raise BadInput("window must be a convex polygon with positive area")
     est = mc_missing(body, a, measure, n, seed, window=window)
-    connected = isinstance(body, ConvexPolygon) or body.connected
-    analytic = missing_probability(body, a, measure) if connected else None
+    analytic = missing_probability(body, a, measure) if body.connected else None
     resolved = {**config, "seed": seed, "n": n}
     lines = _csv_header_lines(resolved, args.no_timestamp)
     lines.append("query_id,a,n,mean,stderr,analytic,seed")
@@ -249,8 +248,7 @@ def cmd_iterate(args) -> int:
             misses += 1
     mean = misses / n
     stderr = math.sqrt(mean * (1.0 - mean) / n)
-    connected = isinstance(body, ConvexPolygon) or body.connected
-    analytic = math.exp(-(a + a2) * hit_mass(measure, body)) if connected else None
+    analytic = math.exp(-(a + a2) * hit_mass(measure, body)) if body.connected else None
     report = {
         "config": {**config, "seed": seed, "n": n},
         "mc_mean": mean,
@@ -293,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "iterate": (cmd_iterate, "nesting stability check against the closed form"),
         "validate": (cmd_validate, "run a named property suite"),
     }
+    # Each subcommand registers only the flags it reads, so a flag it would
+    # ignore is a usage error (exit code 2).
     for name, (fn, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
@@ -300,13 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("suite", nargs="?", default="fast", help="fast, mc, or all")
         else:
             p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--n", type=int, help="override the sample count")
+        if name not in ("measure", "validate"):
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name in ("capacity", "mixing", "iterate"):
+            p.add_argument("--n", type=int, help="override the sample count")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--svg", help="also render an SVG here (simulate only)")
-        p.add_argument(
-            "--no-timestamp", action="store_true", help="suppress the timestamp header line"
-        )
+        if name == "simulate":
+            p.add_argument("--svg", help="also render an SVG here")
+        if name in ("capacity", "mixing"):
+            p.add_argument(
+                "--no-timestamp", action="store_true", help="suppress the timestamp header line"
+            )
     return parser
 
 

@@ -216,6 +216,15 @@ class ConvexPolygon:
     def is_segment(self) -> bool:
         return len(self.vertices) == 2
 
+    @property
+    def pieces(self) -> tuple[ConvexPolygon]:
+        """The polygon as a one-piece body, as ``CompactSet.pieces``."""
+        return (self,)
+
+    @property
+    def connected(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class CompactSet:
@@ -239,12 +248,6 @@ class CompactSet:
             out.extend(p.vertices)
         return out
 
-
-
-def _pieces_of(body: ConvexPolygon | CompactSet) -> tuple[ConvexPolygon, ...]:
-    if isinstance(body, ConvexPolygon):
-        return (body,)
-    return body.pieces
 
 
 def _vertices_of(body: ConvexPolygon | CompactSet) -> Sequence[Point]:
@@ -471,7 +474,7 @@ def hit_length(body: ConvexPolygon | CompactSet, u: Direction) -> float:
 def hits(plane: Hyperplane, body: ConvexPolygon | CompactSet) -> bool:
     """True iff the line meets some piece of the body (touching counts)."""
     u, r = plane.u, plane.r
-    for piece in _pieces_of(body):
+    for piece in body.pieces:
         lo = math.inf
         hi = -math.inf
         for v in piece.vertices:
@@ -658,7 +661,7 @@ def segment_hits_body(
     tol / sin(theta/2) past a vertex of interior angle theta count as well.
     ``hit_reach`` bounds the region in which this can return True.
     """
-    for piece in _pieces_of(body):
+    for piece in body.pieces:
         if contains_point(piece, a, tol) or contains_point(piece, b, tol):
             return True
         pv = piece.vertices

@@ -136,11 +136,11 @@ def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> f
     isotropic part is exact: integrating the r-interval length over all
     directions gives the hull's perimeter.
     """
-    hull = body if isinstance(body, ConvexPolygon) else hull_of(body)
-    if hull is not body and not body.connected:
+    if not body.connected:
         raise MeasureError(
             "lambda_hit requires a connected set; use the Monte Carlo estimators"
         )
+    hull = hull_of(body)
     verts = hull.vertices
     total = measure.isotropic_mass / TWO_PI * perimeter(hull)
     for u, w in measure.atoms:
@@ -307,9 +307,8 @@ def double_hit_mass(
     (mass(hull) - separating mass), whose rounding error is about 1e-16 times
     the hull's hitting mass.
     """
-    for body in (a, b):
-        if isinstance(body, CompactSet) and not body.connected:
-            raise MeasureError("double hit mass requires connected sets")
+    if not (a.connected and b.connected):
+        raise MeasureError("double hit mass requires connected sets")
     hull_a = hull_of(a)
     hull_b = hull_of(b)
     total = 0.0

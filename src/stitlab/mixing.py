@@ -50,10 +50,6 @@ from .stit import mix_seed
 Body = ConvexPolygon | CompactSet
 
 
-def _connected(body: Body) -> bool:
-    return isinstance(body, ConvexPolygon) or body.connected
-
-
 def _joint_hull(body_a: Body, body_b: Body) -> ConvexPolygon:
     return convex_hull(list(hull_of(body_a).vertices) + list(hull_of(body_b).vertices))
 
@@ -82,7 +78,7 @@ def joint_missing_closed_form(
     mass minus the two body masses. Touching hulls give zero (no line
     separates them).
     """
-    if not _connected(body_a) or not _connected(body_b):
+    if not (body_a.connected and body_b.connected):
         raise ValueError("closed form requires connected bodies")
     mass_a = hit_mass(measure, body_a)
     mass_b = hit_mass(measure, body_b)
@@ -103,7 +99,7 @@ def closed_form_ratio_minus_one(
     c* as the difference of masses of size ~h and return rounding noise once
     the exact value falls below ~1e-16.
     """
-    if not _connected(body_a) or not _connected(body_b):
+    if not (body_a.connected and body_b.connected):
         raise ValueError("closed form requires connected bodies")
     gap = (
         hit_mass(measure, _joint_hull(body_a, body_b))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -21,7 +22,6 @@ from .geometry import (
     ConvexPolygon,
     EPS,
     GeometryError,
-    Hyperplane,
     Point,
     area,
     chord,
@@ -117,7 +117,6 @@ class Cell:
     polygon: ConvexPolygon
     birth_time: float
     death_time: float
-    splitting_hyperplane: Hyperplane | None = None
 
 
 @dataclass(frozen=True, order=True)
@@ -135,7 +134,6 @@ class SimulationParams:
     time: float
     measure: DirectionalMeasure
     seed: int
-    retain_lineage: bool = False
 
     def __post_init__(self) -> None:
         if self.time < 0.0 or not math.isfinite(self.time):
@@ -150,41 +148,31 @@ class Tessellation:
     time: float
     cells: tuple[Cell, ...]
     internal_edges: tuple[Edge, ...]
-    retained_lineage: bool = False
 
     @property
     def live_cells(self) -> tuple[Cell, ...]:
         return tuple(c for c in self.cells if c.death_time > self.time)
 
 
-class _Lineage:
-    """Per-cell records of one run, keyed by cell id."""
-
-    __slots__ = ("polys", "births", "deaths", "parents", "planes")
-
-    def __init__(self) -> None:
-        self.polys: dict[int, ConvexPolygon] = {}
-        self.births: dict[int, float] = {}
-        self.deaths: dict[int, float] = {}
-        self.parents: dict[int, int] = {}
-        self.planes: dict[int, Hyperplane] = {}
-
-
 def _divisions(
     params: SimulationParams,
-    lineage: _Lineage,
+    live: list,
     near: Callable[[ConvexPolygon], bool] | None = None,
 ) -> Iterator[tuple[float, tuple[Point, Point] | None]]:
     """Run the division process, yielding (time, chord) per event in time order.
 
-    The one division loop behind ``simulate`` and ``first_hit``, so both take
-    the same draws from each cell's stream in the same order: a cell dies at
-    rate equal to its own hitting mass and is divided by a line drawn from
-    its own hitting law. Cells are recorded in ``lineage``. With ``near``
-    given, a child is spawned only if ``near(child polygon)`` holds; a child
-    left out takes its whole subtree with it, because descendants and their
-    chords lie inside it, and every kept cell still gets exactly the draws
-    it gets in the full run.
+    The one division loop behind ``simulate`` and ``HitQuery.first_hit``, so
+    both take the same draws from each cell's stream in the same order: a
+    cell dies at rate equal to its own hitting mass and is divided by a line
+    drawn from its own hitting law. ``live``, an empty list owned by the
+    caller, is the event queue and the only per-cell state: a heap of
+    (death, label, polygon, birth, stream) entries, one per undivided cell.
+    Labels are unique, so entries never compare past the label. Once the
+    loop is exhausted, ``live`` holds exactly the cells alive at the time
+    parameter. With ``near`` given, a child is spawned only if
+    ``near(child polygon)`` holds; a child left out takes its whole subtree
+    with it, because descendants and their chords lie inside it, and every
+    kept cell still gets exactly the draws it gets in the full run.
     """
     window = params.window
     if len(window.vertices) < 3 or area(window) <= 0.0:
@@ -192,43 +180,28 @@ def _divisions(
     validate_measure(params.measure)
     measure = params.measure
     horizon = params.time
-
-    polys = lineage.polys
-    births = lineage.births
-    deaths = lineage.deaths
-    parents = lineage.parents
-    planes = lineage.planes
-    gens: dict[int, SplitStream] = {}
-    heap: list[tuple[float, int]] = []
-    # cell_stream(seed, cid), with the seed folded in once per run.
+    # cell_stream(seed, label), with the seed folded in once per run.
     prefix = mix_seed(params.seed)
 
-    def spawn(cid: int, parent: int, poly: ConvexPolygon, birth: float) -> None:
+    def spawn(label: int, poly: ConvexPolygon, birth: float) -> None:
         if near is not None and not near(poly):
             return
-        gen = SplitStream(_fold(prefix, cid))
+        gen = SplitStream(_fold(prefix, label))
         rate = hit_mass(measure, poly)
         death = birth + gen.exponential(1.0 / rate) if rate > 0.0 else math.inf
-        polys[cid] = poly
-        births[cid] = birth
-        deaths[cid] = death
-        parents[cid] = parent
-        gens[cid] = gen
-        heapq.heappush(heap, (death, cid))
+        heapq.heappush(live, (death, label, poly, birth, gen))
 
-    spawn(1, 0, window, 0.0)
+    spawn(1, window, 0.0)
 
     events = 0
-    while heap and heap[0][0] <= horizon:
-        death, cid = heapq.heappop(heap)
+    while live and live[0][0] <= horizon:
+        death, label, poly, _, gen = heapq.heappop(live)
         events += 1
         if events > EVENT_CAP:
             raise RuntimeError(
                 f"event cap {EVENT_CAP} exceeded at t={death:.6g}; "
                 "a * Lambda([W]) is likely misconfigured"
             )
-        poly = polys[cid]
-        gen = gens.pop(cid)
         for _ in range(64):
             plane = sample_hitting(measure, poly, gen)
             minus = clip(poly, plane, "minus")
@@ -238,10 +211,9 @@ def _divisions(
         else:
             raise RuntimeError("could not draw a dividing line for a cell")
 
-        planes[cid] = plane
         yield death, chord(poly, plane)
-        spawn(2 * cid, cid, minus, death)
-        spawn(2 * cid + 1, cid, plus, death)
+        spawn(2 * label, minus, death)
+        spawn(2 * label + 1, plus, death)
 
 
 def simulate(params: SimulationParams) -> Tessellation:
@@ -249,33 +221,16 @@ def simulate(params: SimulationParams) -> Tessellation:
 
     Each cell dies at rate equal to its own hitting mass and is divided by a
     line drawn from its own hitting law, so both children are non-empty.
+    ``cells`` holds the cells alive at the time parameter, sorted by label;
+    a cell's parent is its label halved.
     """
-    lineage = _Lineage()
-    edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, lineage) if cut is not None]
-    polys = lineage.polys
-    deaths = lineage.deaths
-    horizon = params.time
-    keep = sorted(polys) if params.retain_lineage else sorted(
-        cid for cid in polys if deaths[cid] > horizon
-    )
+    live: list = []
+    edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, live) if cut is not None]
     cells = tuple(
-        Cell(
-            id=cid,
-            parent_id=lineage.parents[cid],
-            polygon=polys[cid],
-            birth_time=lineage.births[cid],
-            death_time=deaths[cid],
-            splitting_hyperplane=lineage.planes.get(cid),
-        )
-        for cid in keep
+        Cell(id=label, parent_id=label // 2, polygon=poly, birth_time=birth, death_time=death)
+        for death, label, poly, birth, _ in sorted(live, key=itemgetter(1))
     )
-    return Tessellation(
-        window=params.window,
-        time=horizon,
-        cells=cells,
-        internal_edges=tuple(edges),
-        retained_lineage=params.retain_lineage,
-    )
+    return Tessellation(window=params.window, time=params.time, cells=cells, internal_edges=tuple(edges))
 
 
 def restrict(tess: Tessellation, window: ConvexPolygon) -> Tessellation:
@@ -295,7 +250,7 @@ def restrict(tess: Tessellation, window: ConvexPolygon) -> Tessellation:
         part = polygon_intersection(cell.polygon, window)
         if part is None or len(part.vertices) < 3:
             continue
-        cells.append(replace(cell, polygon=part, splitting_hyperplane=None))
+        cells.append(replace(cell, polygon=part))
 
     edges = []
     for e in tess.internal_edges:
@@ -374,7 +329,6 @@ def rescale(tess: Tessellation, factor: float) -> Tessellation:
         time=tess.time,
         cells=cells,
         internal_edges=edges,
-        retained_lineage=tess.retained_lineage,
     )
 
 
@@ -389,8 +343,7 @@ def require_interior(window: ConvexPolygon, body: ConvexPolygon | CompactSet) ->
     Decides as ``interior_clearance(window, v) <= EPS`` for every vertex v
     does, with each window edge's terms computed once.
     """
-    pieces = body.pieces if isinstance(body, CompactSet) else (body,)
-    verts = [v for piece in pieces for v in piece.vertices]
+    verts = [v for piece in body.pieces for v in piece.vertices]
     wv = window.vertices
     n = len(wv)
     if n < 3:
@@ -422,8 +375,7 @@ class QueryBody:
         self.body = body
         # Chords lie in the window, so its coordinates bound theirs.
         scale = max(map(abs, _bounds(window.vertices)))
-        pieces = body.pieces if isinstance(body, CompactSet) else (body,)
-        self.reaches = tuple(hit_reach(piece, scale) for piece in pieces)
+        self.reaches = tuple(hit_reach(piece, scale) for piece in body.pieces)
         if None in self.reaches:
             self.box = (-math.inf, math.inf, -math.inf, math.inf)
         else:
@@ -570,28 +522,23 @@ class HitQuery:
         self._near = _near_test(self._queries)
 
     def first_hit(self, time: float, measure: DirectionalMeasure, seed: int) -> float:
-        """``first_hit`` of the prepared bodies for one (time, measure, seed)."""
+        """Earliest time <= ``time`` at which a division chord meets any body; inf if none.
+
+        Bit-identical, seed for seed, to ``min(first_hit_time(t, b) for b in
+        bodies)`` with ``t = simulate(SimulationParams(window, time, measure,
+        seed))``, without building the tessellation: a chord lies inside its
+        cell and every cell's draws are keyed by (seed, label) alone, so the
+        run expands only cells within PRUNE_MARGIN of a body's reach, and
+        returns at the first event whose chord meets one (events pop in time
+        order). Consequently ``EVENT_CAP`` counts expanded events only, and
+        cells that are never expanded cannot fail.
+        """
         params = SimulationParams(window=self.window, time=time, measure=measure, seed=seed)
         queries = self._queries
-        for death, cut in _divisions(params, _Lineage(), self._near):
+        for death, cut in _divisions(params, [], self._near):
             if cut is not None and any(q.meets(cut[0], cut[1]) for q in queries):
                 return death
         return math.inf
-
-
-def first_hit(params: SimulationParams, bodies: Sequence[ConvexPolygon | CompactSet]) -> float:
-    """Earliest time <= params.time at which a division chord meets any body; inf if none.
-
-    Bit-identical, seed for seed, to
-    ``min(first_hit_time(simulate(params), b) for b in bodies)``, without
-    building the tessellation: a chord lies inside its cell and every cell's
-    draws are keyed by (seed, cell id) alone, so the run expands only cells
-    within PRUNE_MARGIN of a body's reach, and returns at the first event
-    whose chord meets one (events pop in time order). Consequently
-    ``EVENT_CAP`` counts expanded events only, and cells that are never
-    expanded cannot fail.
-    """
-    return HitQuery(params.window, bodies).first_hit(params.time, params.measure, params.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,13 @@ class TestBadInput:
     def test_missing_config(self):
         assert main(["measure"]) == 2
 
+    def test_flag_the_command_does_not_read(self, tmp_path):
+        cfg = write_config(tmp_path, "m.json", {"measure": ISO_MEASURE, "set": "unit_square"})
+        for argv in (["measure", "--config", cfg, "--seed", "3"], ["validate", "--n", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
     def test_config_not_found(self):
         assert main(["measure", "--config", "/nonexistent/x.json"]) == 2
 

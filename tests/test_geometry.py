@@ -235,6 +235,12 @@ class TestCompactSet:
         k = CompactSet.of(box(0, 0, 1, 1), box(2, 0, 3, 1), box(1, 0.2, 2, 0.8))
         assert k.connected
 
+    def test_polygon_is_a_connected_one_piece_body(self):
+        for poly in (box(0, 0, 1, 1), ConvexPolygon(((0.0, 0.0), (1.0, 0.0))), ConvexPolygon(((2.0, 3.0),))):
+            assert poly.pieces == (poly,) and poly.pieces[0] is poly
+            assert poly.connected is True
+            assert (poly.pieces, poly.connected) == (CompactSet.of(poly).pieces, CompactSet.of(poly).connected)
+
     def test_piece_distance(self):
         d = piece_distance(box(0, 0, 1, 1), box(2, 0, 3, 1))
         assert math.isclose(d, 1.0)

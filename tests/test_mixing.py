@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import assert_check, random_convex_polygon
+from conftest import assert_check
+from stitlab.checks import closed_form_configs, first_split_terms, simpson
 from stitlab.geometry import ConvexPolygon, Direction, box, translate
-from stitlab.measure import DirectionalMeasure, hit_mass, separating_mass
+from stitlab.measure import hit_mass, separating_mass
 from stitlab.mixing import (
     MixingRow,
     NoPowerLawError,
@@ -27,19 +27,9 @@ E1 = Direction(1.0, 0.0)
 
 
 def quadrature_joint(body_a, body_b, time, measure):
-    """Independent oracle: numeric integration of the first-split identity."""
-    from stitlab.geometry import convex_hull, hull_of
-
-    hull = convex_hull(list(hull_of(body_a).vertices) + list(hull_of(body_b).vertices))
-    mass_a = hit_mass(measure, body_a)
-    mass_b = hit_mass(measure, body_b)
-    mass_w = hit_mass(measure, hull)
-    sep = separating_mass(measure, body_a, body_b)
-
-    def integrand(t):
-        return math.exp(-t * mass_w) * math.exp(-(time - t) * (mass_a + mass_b))
-
-    value, _ = quad(integrand, 0.0, time, epsabs=1e-15, epsrel=1e-13, limit=200)
+    """Independent oracle: adaptive integration of the first-split identity."""
+    sep, f = first_split_terms(body_a, body_b, time, measure)
+    value, _ = quad(f, 0.0, time, epsabs=1e-15, epsrel=1e-13, limit=200)
     return sep * value
 
 
@@ -61,27 +51,16 @@ class TestClosedForm:
             got = joint_missing_closed_form(a, b, t, iso)
             assert math.isclose(got, 1.0 - math.exp(-2.0 * t * L), rel_tol=1e-12)
 
-    def test_matches_quadrature_on_random_configs(self, iso, axes):
-        rng = np.random.default_rng(2718)
-        mixed = DirectionalMeasure(
-            atoms=((E1, 0.3), (Direction(-1.0, 0.0), 0.3)), isotropic_mass=1.5
-        )
-        checked = 0
-        while checked < 100:
-            a = random_convex_polygon(rng, scale=0.6)
-            shift = (float(rng.uniform(3.0, 12.0)), float(rng.uniform(-2.0, 2.0)))
-            b = translate(random_convex_polygon(rng, scale=0.6), shift)
-            time = float(rng.uniform(0.1, 2.0))
-            measure = (iso, axes, mixed)[checked % 3]
-            if separating_mass(measure, a, b) <= 0.0:
-                continue
-            got = joint_missing_closed_form(a, b, time, measure)
-            want = quadrature_joint(a, b, time, measure)
-            assert abs(got - want) <= 1e-10 * max(want, 1e-300)
-            ratio_want = want / _product(a, b, time, measure) - 1.0
-            ratio_got = closed_form_ratio_minus_one(a, b, time, measure)
-            assert abs(ratio_got - ratio_want) <= 1e-9 * max(abs(ratio_want), 1e-3)
-            checked += 1
+    def test_matches_quadrature_on_random_configs(self):
+        assert_check("mixing.closed_form_quadrature")
+        # The check's Simpson rule against scipy's adaptive quad, whose
+        # requested relative accuracy is 1e-13.
+        worst = 0.0
+        for a, b, time, measure in closed_form_configs():
+            _, f = first_split_terms(a, b, time, measure)
+            want, _ = quad(f, 0.0, time, epsabs=1e-15, epsrel=1e-13, limit=200)
+            worst = max(worst, abs(simpson(f, 0.0, time) - want) / want)
+        assert worst <= 1e-13, worst
 
     def test_small_rate_gap_series_branch(self, iso):
         # A segment plus a point close to its end makes the hull barely larger

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_check
+import stitlab.checks as checks
 import stitlab.stit as stit_mod
 from stitlab.capacity import (
     Estimate,
@@ -27,7 +29,6 @@ from stitlab.geometry import (
     area,
     box,
     centroid,
-    clip,
     contains_point,
     convex_hull,
     dilate,
@@ -46,7 +47,6 @@ from stitlab.stit import (
     Tessellation,
     _near_test,
     cell_stream,
-    first_hit,
     first_hit_time,
     hits_internal,
     mix_seed,
@@ -59,8 +59,8 @@ from stitlab.stit import (
 )
 
 
-def params(window, time, measure, seed, **kw):
-    return SimulationParams(window=window, time=time, measure=measure, seed=seed, **kw)
+def params(window, time, measure, seed):
+    return SimulationParams(window=window, time=time, measure=measure, seed=seed)
 
 
 class TestStreams:
@@ -122,22 +122,25 @@ class TestSimulate:
         for e in t.internal_edges:
             assert contains_point(t.window, e.a) and contains_point(t.window, e.b)
 
-    def test_lineage_bookkeeping(self, iso):
-        t = simulate(params(box(0, 0, 3, 3), 1.0, iso, 21, retain_lineage=True))
-        by_id = {c.id: c for c in t.cells}
-        split = [c for c in t.cells if c.splitting_hyperplane is not None]
-        assert split
-        for cell in split:
-            lo = by_id[2 * cell.id]
-            hi = by_id[2 * cell.id + 1]
-            assert lo.birth_time == cell.death_time == hi.birth_time
-            assert lo.birth_time <= lo.death_time
-            plane = cell.splitting_hyperplane
-            assert clip(cell.polygon, plane, "minus").vertices == lo.polygon.vertices
-            assert clip(cell.polygon, plane, "plus").vertices == hi.polygon.vertices
-
     def test_prefix_property_of_longer_runs(self):
         assert_check("stit.prefix_coupling")
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # Children born one ulp after their parent's death.
+            lambda t: replace(t, cells=tuple(
+                c if c.id == 1 else replace(c, birth_time=math.nextafter(c.birth_time, math.inf)) for c in t.cells
+            )),
+            # The live cell with the lowest label left out.
+            lambda t: replace(t, cells=t.cells[1:]),
+        ],
+        ids=["late-births", "dropped-cell"],
+    )
+    def test_prefix_check_fails_on_mutants(self, monkeypatch, mutant):
+        monkeypatch.setattr(checks, "simulate", lambda p: mutant(simulate(p)))
+        ok, detail = checks.check_prefix_coupling()
+        assert not ok, detail
 
     def test_missing_probability_matches_analytic(self):
         assert_check("capacity.mc_matches_analytic")
@@ -274,7 +277,7 @@ class TestRescaleAndQueries:
 
 class TestJsonRoundTrip:
     def test_roundtrip_identity(self, iso):
-        t = simulate(params(box(0, 0, 3, 3), 0.8, iso, 81, retain_lineage=False))
+        t = simulate(params(box(0, 0, 3, 3), 0.8, iso, 81))
         again = tessellation_from_json(tessellation_to_json(t))
         assert again.window == t.window
         assert again.time == t.time
@@ -339,12 +342,12 @@ class TestFirstHitSeedGrid:
         bodies = QUERY_BODIES[case]
         measure = QUERY_MEASURES[measure_name]
         window = query_window(bodies, window_kind)
+        query = HitQuery(window, bodies)
         value_mismatch = indicator_mismatch = hits = 0
         for seed in range(self.SEEDS):
-            p = params(window, 0.6, measure, mix_seed(9100, seed))
-            tess = simulate(p)
+            tess = simulate(params(window, 0.6, measure, mix_seed(9100, seed)))
             expected = min(first_hit_time(tess, b) for b in bodies)
-            tau = first_hit(p, bodies)
+            tau = query.first_hit(0.6, measure, mix_seed(9100, seed))
             value_mismatch += tau != expected
             indicator_mismatch += (tau != math.inf) != any(hits_internal(tess, b) for b in bodies)
             hits += tau != math.inf
@@ -366,12 +369,12 @@ class TestFirstHitSeedGrid:
             return original(poly, plane)
 
         monkeypatch.setattr(stit_mod, "chord", counting)
-        first_hit(p, bodies)
+        HitQuery(p.window, bodies).first_hit(p.time, p.measure, p.seed)
         assert 0 < len(events) < full / 5
 
-    def test_no_bodies_rejected(self, iso):
+    def test_no_bodies_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            first_hit(params(box(0, 0, 2, 2), 1.0, iso, 1), [])
+            HitQuery(box(0, 0, 2, 2), [])
 
     def test_boundary_query_rejected(self, iso):
         with pytest.raises(GeometryError, match="interior"):
@@ -431,9 +434,10 @@ class TestSliverReach:
 
     def test_first_hit_matches_full_simulation(self, iso):
         window = default_window(SLIVER)
+        query = HitQuery(window, [SLIVER])
         for seed in range(40):
             p = params(window, 2.0, iso, mix_seed(9300, seed))
-            assert first_hit(p, [SLIVER]) == unfiltered_first_hit_time(simulate(p), SLIVER)
+            assert query.first_hit(2.0, iso, p.seed) == unfiltered_first_hit_time(simulate(p), SLIVER)
 
 
 @pytest.fixture(scope="module")
@@ -490,8 +494,7 @@ class TestPrefilterMatchesUnfilteredScan:
     def test_queries(self, property_tessellations, name, data):
         tess = property_tessellations[name]
         body = data.draw(query_bodies(tess))
-        pieces = body.pieces if isinstance(body, CompactSet) else (body,)
-        if any(interior_clearance(tess.window, v) <= 1e-9 for p in pieces for v in p.vertices):
+        if any(interior_clearance(tess.window, v) <= 1e-9 for p in body.pieces for v in p.vertices):
             return
         assert hits_internal(tess, body) == unfiltered_hits_internal(tess, body)
         assert first_hit_time(tess, body) == unfiltered_first_hit_time(tess, body)
