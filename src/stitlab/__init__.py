@@ -23,7 +23,6 @@ from .geometry import (
     ConvexPolygon,
     Direction,
     GeometryError,
-    HitInterval,
     Hyperplane,
     area,
     box,
@@ -31,12 +30,10 @@ from .geometry import (
     convex_hull,
     diameter,
     dilate,
-    hit_interval,
     hits,
     perimeter,
     regular_polygon,
     separates,
-    support,
 )
 from .measure import (
     DirectionalMeasure,

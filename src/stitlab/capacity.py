@@ -19,7 +19,6 @@ here: it lives with the property checks, in ``checks.window_tree_first_hits``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,31 +62,15 @@ def missing_probability(body: Body, time: float, measure: DirectionalMeasure) ->
     return math.exp(-time * hit_mass(measure, body))
 
 
-def capacity_growth_bound(
-    body: Body,
-    time: float,
-    measure: DirectionalMeasure,
-    *,
-    mc_n: int | None = None,
-    mc_seed: int = 0,
-    window: ConvexPolygon | None = None,
-) -> float:
+def capacity_growth_bound(body: Body, time: float, measure: DirectionalMeasure) -> float:
     """Lipschitz-in-time constant for the capacity functional.
 
     Lambda([conv K]) * (1 + t * Lambda([conv K])) * (missing probability at t).
-    The last factor is analytic for connected bodies; for disconnected ones
-    it falls back to a Monte Carlo mean (pass ``mc_n``), which is flagged.
+    The last factor is the closed form, so a disconnected body raises
+    MeasureError (``missing_probability``).
     """
-    hull = hull_of(body)
-    lam = hit_mass(measure, hull)
-    if body.connected:
-        untouched = missing_probability(body, time, measure)
-    else:
-        if mc_n is None:
-            raise ValueError("disconnected body: pass mc_n for the missing-probability factor")
-        warnings.warn("capacity growth bound uses a Monte Carlo missing probability")
-        untouched = mc_missing(body, time, measure, mc_n, mc_seed, window=window).mean
-    return lam * (1.0 + time * lam) * untouched
+    lam = hit_mass(measure, hull_of(body))
+    return lam * (1.0 + time * lam) * missing_probability(body, time, measure)
 
 
 def default_window(body: Body, margin_fraction: float = 0.1) -> ConvexPolygon:

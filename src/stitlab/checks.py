@@ -31,11 +31,11 @@ from .geometry import (
     compact_from_json,
     compact_to_json,
     convex_hull,
-    hit_interval,
     hits,
     hull_of,
     polygon_from_json,
     polygon_to_json,
+    projection_bounds,
     separates,
     translate,
 )
@@ -112,9 +112,9 @@ def check_hits_matches_interval() -> tuple[bool, str]:
         p = random_convex_polygon(rng)
         u = random_direction(rng)
         r = float(rng.uniform(0.0, 4.0))
-        iv = hit_interval(p, u)
-        lo, hi = max(0.0, iv.lo), max(0.0, iv.hi)
-        want = hi > iv.lo and lo - 1e-9 <= r <= hi + 1e-9
+        # Lines have r >= 0, so r in [lo, hi] is r in the range cut to r >= 0.
+        lo, hi = projection_bounds(p.vertices, u.x, u.y)
+        want = lo - 1e-9 <= r <= hi + 1e-9
         if hits(Hyperplane(r, u), p) != want:
             return False, f"predicate/interval mismatch at r={r}"
     return True, "10000 random cases"

@@ -96,6 +96,14 @@ def parse_body(obj) -> ConvexPolygon | CompactSet:
     raise BadInput("a body needs 'vertices', 'pieces', or a builtin 'shape' name")
 
 
+def parse_window(obj) -> ConvexPolygon:
+    """A simulation window: a convex polygon with positive area."""
+    window = parse_body(obj)
+    if isinstance(window, CompactSet) or len(window.vertices) < 3:
+        raise BadInput("window must be a convex polygon with positive area")
+    return window
+
+
 def parse_measure(obj) -> DirectionalMeasure:
     try:
         measure = DirectionalMeasure.from_json(obj)
@@ -149,9 +157,7 @@ def cmd_measure(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     measure = parse_measure(_require(config, "measure"))
-    window = parse_body(_require(config, "window"))
-    if isinstance(window, CompactSet) or len(window.vertices) < 3:
-        raise BadInput("window must be a convex polygon with positive area")
+    window = parse_window(_require(config, "window"))
     seed = _resolve_seed(config, args)
     tess = simulate(
         SimulationParams(
@@ -178,11 +184,7 @@ def cmd_capacity(args) -> int:
     seed = _resolve_seed(config, args)
     n = args.n if args.n is not None else int(_require(config, "n"))
     a = float(_require(config, "a"))
-    window = None
-    if "window" in config:
-        window = parse_body(config["window"])
-        if isinstance(window, CompactSet) or len(window.vertices) < 3:
-            raise BadInput("window must be a convex polygon with positive area")
+    window = parse_window(config["window"]) if "window" in config else None
     est = mc_missing(body, a, measure, n, seed, window=window)
     analytic = missing_probability(body, a, measure) if body.connected else None
     resolved = {**config, "seed": seed, "n": n}
@@ -232,7 +234,7 @@ def cmd_mixing(args) -> int:
 def cmd_iterate(args) -> int:
     config = _load_config(args.config)
     measure = parse_measure(_require(config, "measure"))
-    window = parse_body(_require(config, "window"))
+    window = parse_window(_require(config, "window"))
     body = parse_body(_require(config, "set"))
     seed = _resolve_seed(config, args)
     n = args.n if args.n is not None else int(_require(config, "n"))
@@ -318,9 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GeometryError, MeasureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

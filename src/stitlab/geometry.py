@@ -1,8 +1,9 @@
 """Exact 2-D convex geometry kernel.
 
-Polygons, half-plane clipping, support functions and line-hitting
-predicates. Everything here is pure and immutable; degenerate polygons
-(segments, points) share the same code paths as proper ones.
+Polygons, half-plane clipping, the one projection helper, and the
+line-hitting and interior-clearance predicates. Everything here is pure and
+immutable; degenerate polygons (segments, points) share the same code paths
+as proper ones.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ class Direction:
 
     def cross(self, other: Direction) -> float:
         return self.x * other.y - self.y * other.x
-
-    def opposite(self) -> Direction:
-        return Direction(-self.x, -self.y)
 
     def perpendicular(self) -> Direction:
         return Direction(-self.y, self.x)
@@ -209,14 +207,6 @@ class ConvexPolygon:
         object.__setattr__(self, "vertices", _canonical_loop(self.vertices))
 
     @property
-    def is_point(self) -> bool:
-        return len(self.vertices) == 1
-
-    @property
-    def is_segment(self) -> bool:
-        return len(self.vertices) == 2
-
-    @property
     def pieces(self) -> tuple[ConvexPolygon]:
         """The polygon as a one-piece body, as ``CompactSet.pieces``."""
         return (self,)
@@ -242,18 +232,9 @@ class CompactSet:
     def of(cls, *pieces: ConvexPolygon) -> CompactSet:
         return cls(tuple(pieces))
 
-    def all_vertices(self) -> list[Point]:
-        out: list[Point] = []
-        for p in self.pieces:
-            out.extend(p.vertices)
-        return out
 
-
-
-def _vertices_of(body: ConvexPolygon | CompactSet) -> Sequence[Point]:
-    if isinstance(body, ConvexPolygon):
-        return body.vertices
-    return body.all_vertices()
+def _vertices_of(body: ConvexPolygon | CompactSet) -> list[Point]:
+    return [v for piece in body.pieces for v in piece.vertices]
 
 
 def _is_connected(pieces: Sequence[ConvexPolygon]) -> bool:
@@ -427,29 +408,16 @@ def chord(poly: ConvexPolygon, plane: Hyperplane) -> tuple[Point, Point] | None:
 
 
 # ---------------------------------------------------------------------------
-# Support functions and hit predicates
-
-
-def support(body: ConvexPolygon | CompactSet, u: Direction) -> float:
-    """Support function h(u): the largest projection of the set onto ``u``."""
-    return max(u.dot(v) for v in _vertices_of(body))
-
-
-@dataclass(frozen=True)
-class HitInterval:
-    """Projection interval [lo, hi] of a convex body onto a direction.
-
-    A hyperplane (r, u) with r >= 0 hits the body iff
-    r in [max(0, lo), max(0, hi)] and that interval is non-degenerate or
-    touching. Both ends may be negative before truncation.
-    """
-
-    lo: float
-    hi: float
+# Projection and hit predicates
 
 
 def projection_bounds(verts: Sequence[Point], ux: float, uy: float) -> tuple[float, float]:
-    """(min, max) of x * ux + y * uy over a non-empty vertex chain."""
+    """(min, max) of x * ux + y * uy over a non-empty vertex chain.
+
+    The one projection of the package: the max is the support function
+    h(u) of the hull of ``verts``, and a line (r, u) with r >= 0 hits that
+    hull iff r lies in [lo, hi] (both ends may be negative).
+    """
     lo = hi = verts[0][0] * ux + verts[0][1] * uy
     for x, y in verts:
         p = x * ux + y * uy
@@ -460,27 +428,11 @@ def projection_bounds(verts: Sequence[Point], ux: float, uy: float) -> tuple[flo
     return lo, hi
 
 
-def hit_interval(body: ConvexPolygon | CompactSet, u: Direction) -> HitInterval:
-    """Projection interval of the convex hull of ``body`` onto ``u``."""
-    return HitInterval(*projection_bounds(_vertices_of(body), u.x, u.y))
-
-
-def hit_length(body: ConvexPolygon | CompactSet, u: Direction) -> float:
-    """Length of {r >= 0 : the hyperplane (r, u) hits the hull of the body}."""
-    lo, hi = projection_bounds(_vertices_of(body), u.x, u.y)
-    return max(0.0, hi) - max(0.0, lo)
-
-
 def hits(plane: Hyperplane, body: ConvexPolygon | CompactSet) -> bool:
     """True iff the line meets some piece of the body (touching counts)."""
     u, r = plane.u, plane.r
     for piece in body.pieces:
-        lo = math.inf
-        hi = -math.inf
-        for v in piece.vertices:
-            d = u.dot(v)
-            lo = min(lo, d)
-            hi = max(hi, d)
+        lo, hi = projection_bounds(piece.vertices, u.x, u.y)
         if lo - EPS <= r <= hi + EPS:
             return True
     return False
@@ -611,17 +563,29 @@ def contains_point(poly: ConvexPolygon, p: Point, tol: float = EPS) -> bool:
     return True
 
 
-def interior_clearance(window: ConvexPolygon, p: Point) -> float:
-    """Smallest signed distance from ``p`` to the window edges (inside positive)."""
+def interior_clearance(window: ConvexPolygon, points: Sequence[Point]) -> float:
+    """Smallest signed distance from the points to the window's edge lines.
+
+    Inside is positive; -inf when the window has no area. Each edge's terms
+    are computed once, and the per-edge minimum of the cross products is
+    divided by the edge length once: division by a positive number is
+    monotone under rounding, so this is the minimum of the distances.
+    """
     verts = window.vertices
     if len(verts) < 3:
         return -math.inf
-    best = math.inf
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        ln = math.hypot(ex, ey)
-        best = min(best, (ex * (p[1] - a[1]) - ey * (p[0] - a[0])) / ln)
+    inf = math.inf
+    best = inf
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        low = inf
+        for px, py in points:
+            c = ex * (py - ay) - ey * (px - ax)
+            if c < low:
+                low = c
+        low /= math.hypot(ex, ey)
+        if low < best:
+            best = low
     return best
 
 
@@ -773,11 +737,9 @@ def dilate(body: ConvexPolygon | CompactSet, margin: float, n_dirs: int = 16) ->
 
 def hull_of(body: ConvexPolygon | CompactSet) -> ConvexPolygon:
     """Convex hull of all pieces."""
-    if isinstance(body, ConvexPolygon):
-        return body
     if len(body.pieces) == 1:
         return body.pieces[0]
-    return convex_hull(body.all_vertices())
+    return convex_hull(_vertices_of(body))
 
 
 # ---------------------------------------------------------------------------

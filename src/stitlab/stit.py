@@ -27,7 +27,6 @@ from .geometry import (
     chord,
     clip,
     clip_segment_to_polygon,
-    contains_point,
     hit_reach,
     interior_clearance,
     polygon_from_json,
@@ -242,7 +241,7 @@ def restrict(tess: Tessellation, window: ConvexPolygon) -> Tessellation:
     """
     if len(window.vertices) < 3 or area(window) <= 0.0:
         raise GeometryError("restriction window must have positive area")
-    if not all(contains_point(tess.window, v, EPS) for v in window.vertices):
+    if interior_clearance(tess.window, window.vertices) < -EPS:
         raise GeometryError("restriction window is not contained in the tessellation window")
 
     cells = []
@@ -258,7 +257,7 @@ def restrict(tess: Tessellation, window: ConvexPolygon) -> Tessellation:
         if seg is None:
             continue
         mid = ((seg[0][0] + seg[1][0]) / 2.0, (seg[0][1] + seg[1][1]) / 2.0)
-        if interior_clearance(window, mid) > EPS:
+        if interior_clearance(window, (mid,)) > EPS:
             edges.append(Edge(seg[0], seg[1], e.time))
 
     return Tessellation(
@@ -340,21 +339,10 @@ def require_interior(window: ConvexPolygon, body: ConvexPolygon | CompactSet) ->
     """Raise GeometryError unless the body lies in the window's interior.
 
     Queries need this because the window boundary is not part of the process.
-    Decides as ``interior_clearance(window, v) <= EPS`` for every vertex v
-    does, with each window edge's terms computed once.
     """
     verts = [v for piece in body.pieces for v in piece.vertices]
-    wv = window.vertices
-    n = len(wv)
-    if n < 3:
+    if interior_clearance(window, verts) <= EPS:
         raise GeometryError("query set must be interior to the window")
-    for i in range(n):
-        (ax, ay), (bx, by) = wv[i], wv[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        ln = math.hypot(ex, ey)
-        for px, py in verts:
-            if (ex * (py - ay) - ey * (px - ax)) / ln <= EPS:
-                raise GeometryError("query set must be interior to the window")
 
 
 class QueryBody:

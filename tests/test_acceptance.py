@@ -83,7 +83,7 @@ def test_criterion_2_consistency_restriction():
         small = ConvexPolygon(
             tuple((cx + 0.55 * (x - cx), cy + 0.55 * (y - cy)) for x, y in big.vertices)
         )
-        clearance = interior_clearance(small, (cx, cy))
+        clearance = interior_clearance(small, [(cx, cy)])
         half = 0.3 * clearance
         body = box(cx - half, cy - half, cx + half, cy + half)
 

@@ -70,12 +70,11 @@ class TestCapacityGrowthBound:
         assert abs(a - b) <= 1e-9 * a
 
     def test_disconnected_needs_mc(self, iso):
+        # No closed form for a disconnected body: the Monte Carlo estimators
+        # are the way to its missing probability.
         k = CompactSet.of(box(0, 0, 1, 1), box(3, 0, 4, 1))
-        with pytest.raises(ValueError, match="mc_n"):
+        with pytest.raises(MeasureError, match="Monte Carlo"):
             capacity_growth_bound(k, 1.0, iso)
-        with pytest.warns(UserWarning, match="Monte Carlo"):
-            value = capacity_growth_bound(k, 0.5, iso, mc_n=400, mc_seed=3)
-        assert value > 0.0
 
 
 class TestEstimate:
@@ -106,8 +105,7 @@ class TestMcMissing:
 
     def test_default_window_has_margin(self, unit_square):
         w = default_window(unit_square)
-        for v in unit_square.vertices:
-            assert interior_clearance(w, v) > 0.1
+        assert interior_clearance(w, unit_square.vertices) > 0.1
 
     def test_interiority_enforced(self, iso, unit_square):
         with pytest.raises(GeometryError, match="interior"):

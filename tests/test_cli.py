@@ -244,3 +244,12 @@ class TestBadInput:
     def test_unknown_shape(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {"measure": ISO_MEASURE, "set": "dodecahedron"})
         assert main(["measure", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "capacity", "iterate"])
+    def test_window_must_be_a_polygon_with_area(self, tmp_path, command):
+        square = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}
+        for window in ({"pieces": [square]}, {"vertices": [[-1, -1], [2, 2]]}):
+            config = {"measure": ISO_MEASURE, "window": window, "set": "unit_square"}
+            config.update(a=0.1, a2=0.1, n=2, seed=1)
+            cfg = write_config(tmp_path, "w.json", config)
+            assert main([command, "--config", cfg]) == 2

@@ -14,7 +14,6 @@ from stitlab.geometry import (
     ConvexPolygon,
     Direction,
     GeometryError,
-    HitInterval,
     Hyperplane,
     area,
     box,
@@ -27,8 +26,6 @@ from stitlab.geometry import (
     _perp_distance,
     diameter,
     dilate,
-    hit_interval,
-    hit_length,
     hit_reach,
     hits,
     interior_clearance,
@@ -42,7 +39,6 @@ from stitlab.geometry import (
     segment_hits_body,
     segment_segment_distance,
     separates,
-    support,
     translate,
 )
 
@@ -81,7 +77,6 @@ class TestConvexHull:
     def test_singleton(self):
         p = convex_hull([(0.0, 0.0)])
         assert p.vertices == ((0.0, 0.0),)
-        assert p.is_point
 
     def test_interior_point_removed(self):
         p = convex_hull([(0, 0), (1, 0), (0.5, 0.2), (1, 1), (0, 1)])
@@ -89,7 +84,7 @@ class TestConvexHull:
 
     def test_collinear_becomes_segment(self):
         p = convex_hull([(0, 0), (1, 0), (2, 0)])
-        assert p.is_segment
+        assert len(p.vertices) == 2
         assert set(p.vertices) == {(0.0, 0.0), (2.0, 0.0)}
 
     def test_empty_rejected(self):
@@ -119,7 +114,7 @@ class TestPolygonConstruction:
 
     def test_nearly_collinear_loop_collapses_to_segment(self):
         p = ConvexPolygon(((0, 0), (1, 1e-12), (2, 0)))
-        assert p.is_segment
+        assert len(p.vertices) == 2
 
 
 class TestClip:
@@ -144,7 +139,7 @@ class TestClip:
     def test_segment_clip(self):
         seg = ConvexPolygon(((0.0, 0.0), (2.0, 0.0)))
         part = clip(seg, Hyperplane(0.5, E1), "minus")
-        assert part is not None and part.is_segment
+        assert part is not None and len(part.vertices) == 2
         assert math.isclose(diameter(part), 0.5)
 
     def test_partition_of_area(self):
@@ -152,24 +147,24 @@ class TestClip:
 
 
 class TestSupport:
+    """The support function h(u) is the top of ``projection_bounds``."""
+
     def test_square(self, unit_square):
-        assert support(unit_square, E1) == 1.0
-        assert support(unit_square, Direction(-1.0, 0.0)) == 0.0
+        assert projection_bounds(unit_square.vertices, 1.0, 0.0) == (0.0, 1.0)
+        assert projection_bounds(unit_square.vertices, -1.0, 0.0) == (-1.0, 0.0)
 
     def test_point_dot(self):
-        p = ConvexPolygon(((3.0, 4.0),))
-        assert math.isclose(support(p, Direction(0.6, 0.8)), 5.0)
+        lo, hi = projection_bounds(((3.0, 4.0),), 0.6, 0.8)
+        assert lo == hi and math.isclose(hi, 5.0)
 
     def test_width_nonnegative(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             p = random_convex_polygon(rng)
             u = random_direction(rng)
-            assert support(p, u) + support(p, u.opposite()) >= 0.0
-
-    def test_hit_interval(self, unit_square):
-        iv = hit_interval(unit_square, E1)
-        assert iv == HitInterval(0.0, 1.0)
+            _, h_u = projection_bounds(p.vertices, u.x, u.y)
+            _, h_minus_u = projection_bounds(p.vertices, -u.x, -u.y)
+            assert h_u + h_minus_u >= 0.0
 
 
 class TestHits:
@@ -363,8 +358,11 @@ class TestIntersectionAndContainment:
         assert not contains_point(unit_square, (1.1, 0.5))
 
     def test_interior_clearance(self, unit_square):
-        assert math.isclose(interior_clearance(unit_square, (0.5, 0.5)), 0.5)
-        assert interior_clearance(unit_square, (1.5, 0.5)) < 0
+        assert math.isclose(interior_clearance(unit_square, [(0.5, 0.5)]), 0.5)
+        assert interior_clearance(unit_square, [(1.5, 0.5)]) < 0
+        # The minimum over all points, and -inf for a window without area.
+        assert math.isclose(interior_clearance(unit_square, [(0.5, 0.5), (0.9, 0.5)]), 0.1)
+        assert interior_clearance(ConvexPolygon(((0.0, 0.0), (1.0, 0.0))), [(0.5, 0.0)]) == -math.inf
 
     def test_chord(self, unit_square):
         cut = chord(unit_square, Hyperplane(0.5, E1))
@@ -382,8 +380,7 @@ class TestIntersectionAndContainment:
         for _ in range(50):
             p = random_convex_polygon(rng)
             w = dilate(p, 0.25)
-            for v in p.vertices:
-                assert interior_clearance(w, v) > 0.2
+            assert interior_clearance(w, p.vertices) > 0.2
 
 
 class TestMotions:
@@ -584,11 +581,10 @@ class TestProjectionBounds:
             p = random_convex_polygon(rng)
             u = random_direction(rng)
             proj = [u.x * x + u.y * y for x, y in p.vertices]
-            assert projection_bounds(p.vertices, u.x, u.y) == (min(proj), max(proj))
-            # Exactly what the support function gives: -max(-p) is min(p).
-            iv = hit_interval(p, u)
-            assert (iv.lo, iv.hi) == (-support(p, u.opposite()), support(p, u))
-            assert hit_length(p, u) == max(0.0, iv.hi) - max(0.0, iv.lo)
+            lo, hi = projection_bounds(p.vertices, u.x, u.y)
+            assert (lo, hi) == (min(proj), max(proj))
+            # Negating the direction negates the range exactly: -max(-p) is min(p).
+            assert projection_bounds(p.vertices, -u.x, -u.y) == (-hi, -lo)
 
 
 # ---------------------------------------------------------------------------

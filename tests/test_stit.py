@@ -38,7 +38,15 @@ from stitlab.geometry import (
     regular_polygon,
     segment_hits_body,
 )
-from stitlab.measure import DirectionalMeasure, axis_measure, hit_mass, isotropic_measure
+from stitlab.measure import (
+    DirectionalMeasure,
+    axis_measure,
+    double_hit_mass,
+    hit_mass,
+    isotropic_measure,
+    separating_mass,
+)
+from stitlab.mixing import SweepConfig, sweep, sweep_to_csv
 from stitlab.stit import (
     Edge,
     HitQuery,
@@ -179,7 +187,7 @@ class TestRestrict:
         r = restrict(t, w2)
         for e in r.internal_edges:
             mid = ((e.a[0] + e.b[0]) / 2, (e.a[1] + e.b[1]) / 2)
-            assert interior_clearance(w2, mid) > 0
+            assert interior_clearance(w2, [mid]) > 0
 
     def test_not_contained_rejected(self, iso):
         t = simulate(params(box(0, 0, 2, 2), 0.5, iso, 39))
@@ -236,7 +244,7 @@ class TestRescaleAndQueries:
         shrunk = ConvexPolygon(
             tuple((cx + 0.9 * (x - cx), cy + 0.9 * (y - cy)) for x, y in cell.polygon.vertices)
         )
-        if all(interior_clearance(t.window, v) > 1e-9 for v in shrunk.vertices):
+        if interior_clearance(t.window, shrunk.vertices) > 1e-9:
             assert not hits_internal(t, shrunk)
 
     def test_segment_between_cells_is_hit(self, iso):
@@ -494,7 +502,7 @@ class TestPrefilterMatchesUnfilteredScan:
     def test_queries(self, property_tessellations, name, data):
         tess = property_tessellations[name]
         body = data.draw(query_bodies(tess))
-        if any(interior_clearance(tess.window, v) <= 1e-9 for p in body.pieces for v in p.vertices):
+        if interior_clearance(tess.window, [v for p in body.pieces for v in p.vertices]) <= 1e-9:
             return
         assert hits_internal(tess, body) == unfiltered_hits_internal(tess, body)
         assert first_hit_time(tess, body) == unfiltered_first_hit_time(tess, body)
@@ -602,3 +610,51 @@ class TestPinnedOutputs:
         assert [query.first_hit(0.8, QUERY_MEASURES["axis"], mix_seed(5, i)) for i in range(6)] == [
             math.inf, 0.16465075539955132, 0.5440365999506348, math.inf, 0.6371881575637856, math.inf,
         ]
+
+
+def _closed_form_document() -> bytes:
+    """Closed-form sweeps and masses as bytes: CSV text and float reprs."""
+    distances = (5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0)
+    e1 = Direction(1.0, 0.0)
+    diag = Direction(1.0, 1.0)
+    vseg = ConvexPolygon(((0.0, -0.5), (0.0, 0.5)))
+    perp = ConvexPolygon(((-0.5 * diag.y, 0.5 * diag.x), (0.5 * diag.y, -0.5 * diag.x)))
+    disc = regular_polygon(64, circumradius=1.0)
+    sweeps = [
+        (vseg, e1, QUERY_MEASURES["isotropic"]),
+        (vseg, e1, QUERY_MEASURES["axis"]),
+        (perp, diag, QUERY_MEASURES["axis"]),
+        (box(0.0, 0.0, 1.0, 1.0), Direction(2.0, 1.0), QUERY_MEASURES["mixed"]),
+        (disc, e1, QUERY_MEASURES["isotropic"]),
+    ]
+    parts = [
+        sweep_to_csv(sweep(SweepConfig(body, body, u, distances, 1.0, measure)))
+        for body, u, measure in sweeps
+    ]
+    pairs = [
+        (vseg, ConvexPolygon(((3.0, 0.2), (3.5, 1.7)))),
+        (box(0.0, 0.0, 1.0, 1.0), regular_polygon(5, 0.7, (2.5, -1.5))),
+        (box(-2.0, -1.0, -1.0, 1.0), box(0.5, -0.5, 2.0, 0.5)),
+        (regular_polygon(7, 1.0, (1.0, 1.0)), regular_polygon(6, 0.8, (1.6, 2.2))),
+        (ConvexPolygon(((-4.0, 3.0),)), disc),
+    ]
+    for name in ("axis", "mixed"):
+        measure = QUERY_MEASURES[name]
+        for a, b in pairs:
+            values = (
+                hit_mass(measure, a),
+                separating_mass(measure, a, b),
+                double_hit_mass(measure, a, b),
+            )
+            parts.append(" ".join(map(repr, values)))
+    return "\n".join(parts).encode()
+
+
+class TestPinnedClosedForms:
+    """Closed-form sweeps and masses recorded before the projection helpers
+    were merged: a change to the r >= 0 cut or to the projection order of
+    operations shows here as a changed digest."""
+
+    def test_sweeps_and_masses(self):
+        digest = hashlib.sha256(_closed_form_document()).hexdigest()
+        assert digest == "e6a7efb24d3426214d8ea8b1d61dc420301ec3bf4b806b28bc6a1d28d9044455"
