@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from time import perf_counter
 from typing import Callable
 
@@ -35,7 +36,6 @@ from .geometry import (
     hull_of,
     polygon_from_json,
     polygon_to_json,
-    projection_bounds,
     separates,
     translate,
 )
@@ -108,13 +108,16 @@ def check_hull_idempotent() -> tuple[bool, str]:
 
 def check_hits_matches_interval() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
+    slack = Fraction(1e-9)
     for _ in range(10_000):
         p = random_convex_polygon(rng)
         u = random_direction(rng)
         r = float(rng.uniform(0.0, 4.0))
-        # Lines have r >= 0, so r in [lo, hi] is r in the range cut to r >= 0.
-        lo, hi = projection_bounds(p.vertices, u.x, u.y)
-        want = lo - 1e-9 <= r <= hi + 1e-9
+        # Exact offsets of the vertices from the line, with no projection
+        # shared with ``hits``: the line meets the hull iff they change sign.
+        ux, uy, fr = Fraction(u.x), Fraction(u.y), Fraction(r)
+        offsets = [Fraction(x) * ux + Fraction(y) * uy - fr for x, y in p.vertices]
+        want = min(offsets) <= slack and max(offsets) >= -slack
         if hits(Hyperplane(r, u), p) != want:
             return False, f"predicate/interval mismatch at r={r}"
     return True, "10000 random cases"

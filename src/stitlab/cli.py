@@ -39,10 +39,9 @@ from .measure import (
 )
 from .mixing import SweepConfig, sweep, sweep_to_csv
 from .stit import (
+    HitQuery,
     SimulationParams,
-    hits_internal,
     mix_seed,
-    nest,
     simulate,
     tessellation_from_json,
     tessellation_to_json,
@@ -240,14 +239,13 @@ def cmd_iterate(args) -> int:
     n = args.n if args.n is not None else int(_require(config, "n"))
     a = float(_require(config, "a"))
     a2 = float(_require(config, "a2"))
-    misses = 0
-    for i in range(n):
-        tess = simulate(
-            SimulationParams(window=window, time=a, measure=measure, seed=mix_seed(seed, 2 * i))
-        )
-        nested = nest(tess, a2, measure, seed=mix_seed(seed, 2 * i + 1))
-        if not hits_internal(nested, body):
-            misses += 1
+    if n < 1:
+        raise BadInput("need at least one replication")
+    query = HitQuery(window, [body])
+    misses = sum(
+        query.first_hit_nested(a, a2, measure, mix_seed(seed, 2 * i), mix_seed(seed, 2 * i + 1)) == math.inf
+        for i in range(n)
+    )
     mean = misses / n
     stderr = math.sqrt(mean * (1.0 - mean) / n)
     analytic = math.exp(-(a + a2) * hit_mass(measure, body)) if body.connected else None

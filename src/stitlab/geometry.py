@@ -715,10 +715,6 @@ def scale(poly: ConvexPolygon, s: float) -> ConvexPolygon:
     return ConvexPolygon(tuple((s * x, s * y) for x, y in poly.vertices))
 
 
-def translate_set(body: CompactSet, t: Point) -> CompactSet:
-    return CompactSet(tuple(translate(p, t) for p in body.pieces))
-
-
 def dilate(body: ConvexPolygon | CompactSet, margin: float, n_dirs: int = 16) -> ConvexPolygon:
     """Convex window containing the body with clearance ~``margin`` everywhere.
 

@@ -36,7 +36,6 @@ from .geometry import (
     hull_of,
     piece_distance,
     translate,
-    translate_set,
 )
 from .measure import (
     DirectionalMeasure,
@@ -55,9 +54,9 @@ def _joint_hull(body_a: Body, body_b: Body) -> ConvexPolygon:
 
 
 def translate_body(body: Body, t: tuple[float, float]) -> Body:
-    if isinstance(body, ConvexPolygon):
-        return translate(body, t)
-    return translate_set(body, t)
+    """The body moved by t, piece by piece; a polygon (its own only piece) stays a polygon."""
+    moved = tuple(translate(piece, t) for piece in body.pieces)
+    return moved[0] if body.pieces[0] is body else CompactSet(moved)
 
 
 def _expm1_ratio(time: float, rate_gap: float) -> float:

@@ -521,9 +521,44 @@ class HitQuery:
         order). Consequently ``EVENT_CAP`` counts expanded events only, and
         cells that are never expanded cannot fail.
         """
-        params = SimulationParams(window=self.window, time=time, measure=measure, seed=seed)
+        return self._first_hit(SimulationParams(self.window, time, measure, seed), [])
+
+    def first_hit_nested(
+        self, time: float, extra_time: float, measure: DirectionalMeasure, seed: int, nest_seed: int
+    ) -> float:
+        """``first_hit`` of the nested tessellation; inf if no chord meets a body.
+
+        Bit-identical, seed for seed, to ``min(first_hit_time(n, b) for b in
+        bodies)`` with ``n = nest(simulate(SimulationParams(window, time,
+        measure, seed)), extra_time, measure, nest_seed)``, without building
+        either tessellation. An outer hit comes first, as outer times are at
+        most ``time``. Otherwise the pruned outer run has left every kept
+        cell alive at ``time``, with its label and polygon from the full run,
+        and each runs ``nest``'s inner run (seed ``mix_seed(nest_seed,
+        label)``) pruned by the same test: inner chords lie inside their
+        cell, so inside the window whose scale sized the reach boxes. Each
+        inner run stops at the earliest hit found so far, since a run's
+        events up to a horizon do not depend on the horizon. Only kept cells
+        are divided, so a degenerate cell far from every body cannot fail
+        the run as it fails ``nest``.
+        """
+        if extra_time < 0.0 or not math.isfinite(extra_time):
+            raise ValueError("time parameter must be finite and >= 0")
+        live: list = []
+        outer = self._first_hit(SimulationParams(self.window, time, measure, seed), live)
+        if outer != math.inf:
+            return outer
+        inner = math.inf
+        for _, label, poly, _, _ in live:
+            params = SimulationParams(poly, min(extra_time, inner), measure, mix_seed(nest_seed, label))
+            inner = min(inner, self._first_hit(params, []))
+        # nest() dates each inner chord time + its inner time.
+        return time + inner
+
+    def _first_hit(self, params: SimulationParams, live: list) -> float:
+        """Death of the first event of the pruned run whose chord meets a body; inf if none."""
         queries = self._queries
-        for death, cut in _divisions(params, [], self._near):
+        for death, cut in _divisions(params, live, self._near):
             if cut is not None and any(q.meets(cut[0], cut[1]) for q in queries):
                 return death
         return math.inf

@@ -245,6 +245,16 @@ class TestBadInput:
         cfg = write_config(tmp_path, "m.json", {"measure": ISO_MEASURE, "set": "dodecahedron"})
         assert main(["measure", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_iterate_needs_a_replication(self, tmp_path, capsys, n):
+        # The body touches the window's edge, which fails only once the
+        # replication count has been accepted.
+        config = {"measure": ISO_MEASURE, "window": {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}, "set": "unit_square"}
+        config.update(a=0.1, a2=0.1, seed=1)
+        cfg = write_config(tmp_path, "i.json", config)
+        assert main(["iterate", "--config", cfg, "--n", n]) == 2
+        assert capsys.readouterr().err == "error: need at least one replication\n"
+
     @pytest.mark.parametrize("command", ["simulate", "capacity", "iterate"])
     def test_window_must_be_a_polygon_with_area(self, tmp_path, command):
         square = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}

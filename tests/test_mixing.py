@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from conftest import assert_check
 from stitlab.checks import closed_form_configs, first_split_terms, simpson
-from stitlab.geometry import ConvexPolygon, Direction, box, translate
+from stitlab.geometry import CompactSet, ConvexPolygon, Direction, box, translate
 from stitlab.measure import hit_mass, separating_mass
 from stitlab.mixing import (
     MixingRow,
@@ -82,6 +82,16 @@ class TestClosedForm:
         k = CompactSet.of(box(0, 0, 1, 1), box(3, 0, 4, 1))
         with pytest.raises(ValueError, match="connected"):
             joint_missing_closed_form(k, box(8, 0, 9, 1), 1.0, iso)
+
+
+class TestTranslateBody:
+    def test_moves_every_piece_and_keeps_the_type(self):
+        t = (2.5, -1.0)
+        moved = translate_body(UNIT_VSEG, t)
+        assert type(moved) is ConvexPolygon and moved == translate(UNIT_VSEG, t)
+        pieces = (box(0, 0, 1, 1), box(3, 0, 4, 1))
+        assert translate_body(CompactSet(pieces), t) == CompactSet(tuple(translate(p, t) for p in pieces))
+        assert translate_body(CompactSet(pieces[:1]), t) == CompactSet((translate(pieces[0], t),))
 
 
 class TestBoundsAndConstants:

@@ -21,6 +21,7 @@ from stitlab.capacity import (
     mc_missing,
 )
 from stitlab.checks import window_tree_first_hits
+from stitlab.cli import main as cli_main
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
@@ -35,6 +36,7 @@ from stitlab.geometry import (
     hull_of,
     interior_clearance,
     polygon_intersection,
+    polygon_to_json,
     regular_polygon,
     segment_hits_body,
 )
@@ -389,6 +391,57 @@ class TestFirstHitSeedGrid:
             HitQuery(box(0, 0, 2, 2), [box(1, 1, 1.5, 1.5), box(0.0, 0.5, 1.0, 1.5)])
 
 
+def full_nested_first_hit(bodies, window, time, extra_time, measure, seed, nest_seed):
+    """Reference: nest the whole tessellation, scan its chords; also whether any body is hit."""
+    nested = nest(simulate(params(window, time, measure, seed)), extra_time, measure, nest_seed)
+    return min(first_hit_time(nested, b) for b in bodies), any(hits_internal(nested, b) for b in bodies)
+
+
+class TestFirstHitNestedSeedGrid:
+    SEEDS = 60
+
+    def assert_matches_nest(self, query, bodies, time, extra_time, measure, seeds):
+        """0 value and 0 indicator mismatches; returns (hits, hits made only by inner chords)."""
+        value_mismatch = indicator_mismatch = hits = inner_hits = 0
+        for seed in range(seeds):
+            s, ns = mix_seed(9400, seed), mix_seed(9500, seed)
+            expected, hit = full_nested_first_hit(bodies, query.window, time, extra_time, measure, s, ns)
+            tau = query.first_hit_nested(time, extra_time, measure, s, ns)
+            value_mismatch += tau != expected
+            indicator_mismatch += (tau != math.inf) != hit
+            hits += tau != math.inf
+            inner_hits += tau != math.inf and query.first_hit(time, measure, s) == math.inf
+        assert (value_mismatch, indicator_mismatch) == (0, 0)
+        return hits, inner_hits
+
+    @pytest.mark.parametrize("measure_name", sorted(QUERY_MEASURES))
+    @pytest.mark.parametrize("case,window_kind", QUERY_WINDOWS)
+    def test_matches_nest_of_full_simulation(self, case, window_kind, measure_name):
+        bodies = QUERY_BODIES[case]
+        query = HitQuery(query_window(bodies, window_kind), bodies)
+        hits, inner_hits = self.assert_matches_nest(query, bodies, 0.3, 0.3, QUERY_MEASURES[measure_name], self.SEEDS)
+        # Outer and inner chords both hit, except on the (unhittable) point.
+        assert (hits > 0 and inner_hits > 0) == (case != "point")
+
+    @pytest.mark.parametrize("measure_name", sorted(QUERY_MEASURES))
+    @pytest.mark.parametrize(
+        "body,time",
+        [(box(0.0, 0.0, 1.0, 1.0), 0.5), (box(-0.4, -0.4, 1.4, 1.4), 0.1)],
+        ids=["unit square", "square filling the window"],
+    )
+    def test_body_straddling_many_cells(self, body, time, measure_name):
+        # The square meets most outer cells, so the outer run prunes almost
+        # none of them before its first hit; inner hits occur as well.
+        query = HitQuery(box(-0.5, -0.5, 1.5, 1.5), [body])
+        hits, inner_hits = self.assert_matches_nest(query, [body], time, time, QUERY_MEASURES[measure_name], 40)
+        assert 0 < inner_hits and hits < 40
+
+    def test_negative_extra_time_rejected(self, iso):
+        square = box(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            HitQuery(default_window(square), [square]).first_hit_nested(0.5, -0.1, iso, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Prepared query bodies: reach-box prefilter and pruning against the reach
 
@@ -610,6 +663,38 @@ class TestPinnedOutputs:
         assert [query.first_hit(0.8, QUERY_MEASURES["axis"], mix_seed(5, i)) for i in range(6)] == [
             math.inf, 0.16465075539955132, 0.5440365999506348, math.inf, 0.6371881575637856, math.inf,
         ]
+
+
+class TestPinnedIterateReports:
+    """``stitlab iterate`` report bytes recorded while each replicate still
+    nested a whole tessellation: the query-driven path must not change one."""
+
+    @pytest.mark.parametrize(
+        "measure_name,seed,digest",
+        [
+            ("isotropic", 1, "91f8a6a44c25422e9e538bb6360180ab6fdcf36c1ade9979337c8f8ad9082100"),
+            ("isotropic", 2, "b1e46ad23956346a5e3368809af9acc72c7de34bdf9f9ebade2a2962dc4dd9e5"),
+            ("isotropic", 3, "c731df8a4c6b824af2429a49736fddf6026c812c943f46c225e63b852027f841"),
+            ("axis", 1, "b27a2b58b4568da7588022c1d2a864a7c1f8a922d89acbda1e53c1705ce6e0f3"),
+            ("axis", 2, "9d212b30a786a92a0968c87e9ca40f5f1389a24c9b87c4bf8920517f417e3ba4"),
+            ("axis", 3, "7abdda708cf0082b3e249f0f4c6ca8384310f7762305aa3a1e875ce6e7155290"),
+            ("mixed", 1, "adcc5018b031ee8a52e62a6b31a3e3a44ba871eaa0862d917be28352f33e539f"),
+            ("mixed", 2, "08e5df4f233e12a035a0699e6d902ade2c189c47167675351577032f4925f9d6"),
+            ("mixed", 3, "a7ee4a39d3ca06249037a1e2e92aeafb01f96dae229dd9212ca3e60c9c916baf"),
+        ],
+    )
+    def test_report_bytes(self, tmp_path, measure_name, seed, digest):
+        config = {
+            "measure": QUERY_MEASURES[measure_name].to_json(),
+            "window": polygon_to_json(box(-0.5, -0.5, 1.5, 1.5)),
+            "set": "unit_square",
+            "a": 0.5,
+            "a2": 0.5,
+        }
+        path, out = tmp_path / "iterate.json", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["iterate", "--config", str(path), "--seed", str(seed), "--n", "300", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _closed_form_document() -> bytes:
