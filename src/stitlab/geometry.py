@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Point = tuple[float, float]
@@ -211,6 +212,19 @@ class ConvexPolygon:
         """The polygon as a one-piece body, as ``CompactSet.pieces``."""
         return (self,)
 
+    @cached_property
+    def _perimeter(self) -> float:
+        verts = self.vertices
+        if len(verts) == 1:
+            return 0.0
+        # Summed edge by edge from vertex 0: seeded results depend on this order.
+        total = 0.0
+        px, py = verts[0]
+        for qx, qy in verts[1:]:
+            total += math.hypot(px - qx, py - qy)
+            px, py = qx, qy
+        return total + math.hypot(px - verts[0][0], py - verts[0][1])
+
     @property
     def connected(self) -> bool:
         return True
@@ -321,13 +335,92 @@ def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | N
     """
     if side not in ("plus", "minus"):
         raise GeometryError(f"side must be 'plus' or 'minus', got {side!r}")
-    keep_ge = side == "plus"
-    loop = _clip_loop(poly.vertices, plane.u.x, plane.u.y, plane.r, keep_ge)
-    if not loop:
+    ux, uy, r = plane.u.x, plane.u.y, plane.r
+    verts = poly.vertices
+    n = len(verts)
+    # _clip_loop written out, noting where each output vertex came from: its
+    # index in ``verts``, or -1 for a new one. The kept side's offsets are s;
+    # with none above EPS the loop is empty or lies within EPS of the line.
+    sign = 1.0 if side == "plus" else -1.0
+    s = [sign * (x * ux + y * uy - r) for x, y in verts]
+    if max(s) <= EPS:
         return None
-    if all(abs(plane.u.dot(p) - plane.r) <= EPS for p in loop):
+    loop: list[Point] = []
+    src: list[int] = []
+    si = s[0]
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        sj = s[j]
+        if si >= -EPS:
+            loop.append(verts[i])
+            src.append(i)
+        if (si > EPS and sj < -EPS) or (si < -EPS and sj > EPS):
+            t = si / (si - sj)
+            (xi, yi), (xj, yj) = verts[i], verts[j]
+            loop.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+            src.append(-1)
+        si = sj
+    return _canonical_child(verts, loop, src) or ConvexPolygon(tuple(loop))
+
+
+def _canonical_child(
+    parent: tuple[Point, ...], loop: list[Point], src: list[int]
+) -> ConvexPolygon | None:
+    """The polygon on ``loop``, a clip of ``parent``, if ``_canonical_loop`` would keep it as is.
+
+    None when a check fires (a vertex within EPS of the last, a loop thin
+    enough to test for collapse, a clockwise loop, a vertex within EPS of
+    its neighbours' chord or a clockwise turn): the caller then runs the
+    full ``_canonical_loop``. The checks repeat that function's arithmetic
+    on the same floats. The strip-and-turn scan runs only at vertices that
+    are new or have a new neighbour: at every other vertex the parent, a
+    canonical loop, passed it on the same three points (a parent of one or
+    two vertices leaves no such vertex in a loop of three or more).
+    """
+    m = len(loop)
+    if m < 3:
         return None
-    return ConvexPolygon(tuple(loop))
+    # Dedupe and shoelace as _canonical_loop computes them. The bounding
+    # box's diagonal is below perimeter / sqrt(2), so a loop that clears the
+    # collapse bound with the perimeter in its place clears it.
+    x0, y0 = loop[0]
+    px, py = loop[-1]
+    last = math.hypot(x0 - px, y0 - py)
+    if last <= EPS:
+        return None
+    per = area2 = 0.0
+    px, py = x0, y0
+    for qx, qy in loop[1:]:
+        d = math.hypot(qx - px, qy - py)
+        if d <= EPS:
+            return None
+        per += d
+        area2 += px * qy - py * qx
+        px, py = qx, qy
+    area2 += px * y0 - py * x0
+    per += last
+    if area2 <= 4.0 * EPS * per:
+        return None
+
+    n = len(parent)
+    for k in range(m):
+        i = src[k]
+        prev, nxt = src[k - 1], src[k + 1 if k + 1 < m else 0]
+        if i >= 0 and prev == (i - 1) % n and nxt == (i + 1) % n:
+            continue
+        (px, py), (qx, qy), (rx, ry) = loop[k - 1], loop[k], loop[k + 1 if k + 1 < m else 0]
+        ex, ey = rx - px, ry - py
+        ln = math.hypot(ex, ey)
+        if ln == 0.0:
+            dist = math.hypot(qx - px, qy - py)
+        else:
+            dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
+        if dist <= EPS or (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
+            return None
+    poly = object.__new__(ConvexPolygon)
+    object.__setattr__(poly, "vertices", tuple(loop))
+    object.__setattr__(poly, "_perimeter", per)
+    return poly
 
 
 def polygon_intersection(poly: ConvexPolygon, window: ConvexPolygon) -> ConvexPolygon | None:
@@ -384,23 +477,25 @@ def clip_segment_to_polygon(
 
 def chord(poly: ConvexPolygon, plane: Hyperplane) -> tuple[Point, Point] | None:
     """Segment in which the cutting line crosses the polygon, or None."""
-    u = plane.u
     pts: list[Point] = []
     verts = poly.vertices
     n = len(verts)
-    offs = [u.dot(v) - plane.r for v in verts]
+    ux, uy, r = plane.u.x, plane.u.y, plane.r
+    offs = [ux * x + uy * y - r for x, y in verts]
+    si = offs[0]
     for i in range(n):
-        j = (i + 1) % n
-        si, sj = offs[i], offs[j]
+        j = i + 1 if i + 1 < n else 0
+        sj = offs[j]
         if abs(si) <= EPS:
             pts.append(verts[i])
         if (si > EPS and sj < -EPS) or (si < -EPS and sj > EPS):
             t = si / (si - sj)
-            vi, vj = verts[i], verts[j]
-            pts.append((vi[0] + t * (vj[0] - vi[0]), vi[1] + t * (vj[1] - vi[1])))
+            (xi, yi), (xj, yj) = verts[i], verts[j]
+            pts.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+        si = sj
     if len(pts) < 2:
         return None
-    tx, ty = -u.y, u.x
+    tx, ty = -uy, ux
     pts.sort(key=lambda p: p[0] * tx + p[1] * ty)
     if _dist(pts[0], pts[-1]) <= EPS:
         return None
@@ -460,18 +555,12 @@ def area(poly: ConvexPolygon) -> float:
 
 
 def perimeter(poly: ConvexPolygon) -> float:
-    """Boundary length; a segment's boundary is traversed both ways (2L)."""
-    verts = poly.vertices
-    n = len(verts)
-    if n == 1:
-        return 0.0
-    # Summed edge by edge from vertex 0: seeded results depend on this order.
-    total = 0.0
-    px, py = verts[0]
-    for qx, qy in verts[1:]:
-        total += math.hypot(px - qx, py - qy)
-        px, py = qx, qy
-    return total + math.hypot(px - verts[0][0], py - verts[0][1])
+    """Boundary length; a segment's boundary is traversed both ways (2L).
+
+    Computed once per polygon; ``clip`` hands its children the sum it forms
+    anyway, in the same order.
+    """
+    return poly._perimeter
 
 
 def diameter(body: ConvexPolygon | CompactSet) -> float:

@@ -149,13 +149,40 @@ def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> f
         raise MeasureError(
             "lambda_hit requires a connected set; use the Monte Carlo estimators"
         )
-    hull = hull_of(body)
-    verts = hull.vertices
-    total = measure.isotropic_mass / TWO_PI * perimeter(hull)
+    return _hitting_law(measure, hull_of(body))[0]
+
+
+def _hitting_law(measure: DirectionalMeasure, poly: ConvexPolygon) -> tuple:
+    """(rate, total, perimeter, atoms): a convex polygon's law, computed once.
+
+    ``rate`` is ``hit_mass``, summed isotropic part first; ``total`` is the
+    same mass as ``sample_hitting`` normalises by, summed atoms first (seeded
+    results depend on both orders). ``atoms`` holds (u, mass, lo, hi) per
+    atom, with (lo, hi) its cut r-range. The perimeter is None when the
+    measure has no isotropic part, which does not need it.
+    """
+    iso = measure.isotropic_mass
+    per = perimeter(poly) if iso != 0.0 else None
+    rate = iso_weight = 0.0 if per is None else iso / TWO_PI * per
+    total = 0.0
+    verts = poly.vertices
+    atoms = []
+    # Projecting on -u negates every term exactly (a zero may keep its sign,
+    # which _cut drops), so an atom opposite the one before it reuses that
+    # projection, (lo, hi) -> (-hi, -lo).
+    vx = vy = lo_u = hi_u = math.nan
     for u, w in measure.atoms:
-        lo, hi = _cut(*projection_bounds(verts, u.x, u.y))
-        total += w * (hi - lo)
-    return total
+        if u.x == -vx and u.y == -vy:
+            lo_u, hi_u = -hi_u, -lo_u
+        else:
+            lo_u, hi_u = projection_bounds(verts, u.x, u.y)
+        vx, vy = u.x, u.y
+        lo, hi = _cut(lo_u, hi_u)
+        mass = w * (hi - lo)
+        atoms.append((u, mass, lo, hi))
+        rate += mass
+        total += mass
+    return rate, total + iso_weight, per, atoms
 
 
 def separation_rate(measure: DirectionalMeasure, u: Direction) -> float:
@@ -357,28 +384,33 @@ def sample_hitting(
     Atom directions carry r uniform on their hit interval; the isotropic part
     uses rejection on the angle and then r uniform on the hit interval.
     """
-    verts = window.vertices
-    per = perimeter(window)
-    ranges = [_cut(*projection_bounds(verts, u.x, u.y)) for u, _ in measure.atoms]
-    atom_weights = [w * (hi - lo) for (_, w), (lo, hi) in zip(measure.atoms, ranges)]
-    iso_weight = measure.isotropic_mass / TWO_PI * per
-    total = sum(atom_weights) + iso_weight
+    return _sample_line(measure, window, _hitting_law(measure, window), rng)
+
+
+def _sample_line(
+    measure: DirectionalMeasure, window: ConvexPolygon, law: tuple, rng: RandomStream
+) -> Hyperplane:
+    """``sample_hitting`` given the window's ``_hitting_law``."""
+    _, total, per, atoms = law
     if total <= 0.0:
         raise MeasureError("degenerate window: no lines hit it under this measure")
 
     x = rng.random() * total
-    for (u, _), w, (lo, hi) in zip(measure.atoms, atom_weights, ranges):
+    for u, w, lo, hi in atoms:
         if x < w:
             return Hyperplane(rng.uniform(lo, hi), u)
         x -= w
 
     # Interval lengths never exceed the width, which is at most perimeter / 2,
-    # so acceptance is exactly 1/pi for every convex window.
-    bound = 0.5 * per
+    # so acceptance is exactly 1/pi for every convex window. Rounding can
+    # leave x past the last atom of a measure without isotropic part.
+    bound = 0.5 * (perimeter(window) if per is None else per)
+    verts = window.vertices
+    uniform, random, cos, sin = rng.uniform, rng.random, math.cos, math.sin
     while True:
-        theta = rng.uniform(0.0, TWO_PI)
-        ux = math.cos(theta)
-        uy = math.sin(theta)
+        theta = uniform(0.0, TWO_PI)
+        ux = cos(theta)
+        uy = sin(theta)
         lo, hi = _cut(*projection_bounds(verts, ux, uy))
-        if rng.random() * bound < hi - lo:
-            return Hyperplane(rng.uniform(lo, hi), Direction(ux, uy))
+        if random() * bound < hi - lo:
+            return Hyperplane(uniform(lo, hi), Direction(ux, uy))

@@ -29,13 +29,14 @@ from .geometry import (
     clip_segment_to_polygon,
     hit_reach,
     interior_clearance,
+    perimeter,
     polygon_from_json,
     polygon_intersection,
     polygon_to_json,
     scale as scale_polygon,
     segment_hits_body,
 )
-from .measure import DirectionalMeasure, hit_mass, sample_hitting, validate_measure
+from .measure import DirectionalMeasure, _hitting_law, _sample_line, validate_measure
 
 # Hard cap on processed division events; misconfigured huge a * Lambda([W])
 # aborts with a diagnostic instead of running away.
@@ -84,19 +85,19 @@ class SplitStream:
     def __init__(self, key: int):
         self._state = key & _MASK64
 
-    def _next(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
     def random(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
-        return (self._next() >> 11) * (2.0**-53)
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * (2.0**-53)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        # ``random`` written out: this runs for every line drawn.
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * (2.0**-53))
 
     def exponential(self, scale: float) -> float:
         return -scale * math.log1p(-self.random())
@@ -157,6 +158,7 @@ def _divisions(
     params: SimulationParams,
     live: list,
     near: Callable[[ConvexPolygon], bool] | None = None,
+    root_law: tuple | None = None,
 ) -> Iterator[tuple[float, tuple[Point, Point] | None]]:
     """Run the division process, yielding (time, chord) per event in time order.
 
@@ -165,10 +167,13 @@ def _divisions(
     cell dies at rate equal to its own hitting mass and is divided by a line
     drawn from its own hitting law. ``live``, an empty list owned by the
     caller, is the event queue and the only per-cell state: a heap of
-    (death, label, polygon, birth, stream) entries, one per undivided cell.
-    Labels are unique, so entries never compare past the label. Once the
-    loop is exhausted, ``live`` holds exactly the cells alive at the time
-    parameter. With ``near`` given, a child is spawned only if
+    (death, label, polygon, birth, stream, law) entries, one per undivided
+    cell. ``law`` is the cell's ``measure._hitting_law``, computed once for
+    its rate and reused by every draw of its dividing line, or None for a
+    cell that dies after the time parameter; ``root_law``, if given, is the
+    window's. Labels are unique, so entries never compare past the label.
+    Once the loop is exhausted, ``live`` holds exactly the cells alive at
+    the time parameter. With ``near`` given, a child is spawned only if
     ``near(child polygon)`` holds; a child left out takes its whole subtree
     with it, because descendants and their chords lie inside it, and every
     kept cell still gets exactly the draws it gets in the full run.
@@ -182,19 +187,22 @@ def _divisions(
     # cell_stream(seed, label), with the seed folded in once per run.
     prefix = mix_seed(params.seed)
 
-    def spawn(label: int, poly: ConvexPolygon, birth: float) -> None:
+    def spawn(label: int, poly: ConvexPolygon, birth: float, law: tuple | None = None) -> None:
         if near is not None and not near(poly):
             return
         gen = SplitStream(_fold(prefix, label))
-        rate = hit_mass(measure, poly)
+        if law is None:
+            law = _hitting_law(measure, poly)
+        rate = law[0]
         death = birth + gen.exponential(1.0 / rate) if rate > 0.0 else math.inf
-        heapq.heappush(live, (death, label, poly, birth, gen))
+        # Only a cell that will be divided reads its law again.
+        heapq.heappush(live, (death, label, poly, birth, gen, law if death <= horizon else None))
 
-    spawn(1, window, 0.0)
+    spawn(1, window, 0.0, root_law)
 
     events = 0
     while live and live[0][0] <= horizon:
-        death, label, poly, _, gen = heapq.heappop(live)
+        death, label, poly, _, gen, law = heapq.heappop(live)
         events += 1
         if events > EVENT_CAP:
             raise RuntimeError(
@@ -202,7 +210,7 @@ def _divisions(
                 "a * Lambda([W]) is likely misconfigured"
             )
         for _ in range(64):
-            plane = sample_hitting(measure, poly, gen)
+            plane = _sample_line(measure, poly, law, gen)
             minus = clip(poly, plane, "minus")
             plus = clip(poly, plane, "plus")
             if minus is not None and plus is not None:
@@ -227,7 +235,7 @@ def simulate(params: SimulationParams) -> Tessellation:
     edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, live) if cut is not None]
     cells = tuple(
         Cell(id=label, parent_id=label // 2, polygon=poly, birth_time=birth, death_time=death)
-        for death, label, poly, birth, _ in sorted(live, key=itemgetter(1))
+        for death, label, poly, birth, _, _ in sorted(live, key=itemgetter(1))
     )
     return Tessellation(window=params.window, time=params.time, cells=cells, internal_edges=tuple(edges))
 
@@ -339,10 +347,29 @@ def require_interior(window: ConvexPolygon, body: ConvexPolygon | CompactSet) ->
     """Raise GeometryError unless the body lies in the window's interior.
 
     Queries need this because the window boundary is not part of the process.
+    It raises exactly when ``interior_clearance(window, body vertices) <= EPS``,
+    but tests the vertices only against the edges that the body's bounding
+    circle does not clear by more than EPS plus a rounding margin. A computed
+    distance of p from the edge at a is off by a few ulps of |p - a|, at
+    most |c - a| + radius, and |c - a| is at most |c - w0| + perimeter / 2
+    for a window vertex w0: 2^-40 of that far exceeds it.
     """
     verts = [v for piece in body.pieces for v in piece.vertices]
-    if interior_clearance(window, verts) <= EPS:
+    wv = window.vertices
+    if len(wv) < 3:
         raise GeometryError("query set must be interior to the window")
+    cx, cy, radius = _bounding_circle(verts)
+    x0, y0 = wv[0]
+    reach = math.hypot(cx - x0, cy - y0) + 0.5 * perimeter(window) + radius
+    clear = radius + EPS + 2.0**-40 * reach
+    for (ax, ay), (bx, by) in zip(wv, wv[1:] + wv[:1]):
+        ex, ey = bx - ax, by - ay
+        ln = math.hypot(ex, ey)
+        if (ex * (cy - ay) - ey * (cx - ax)) / ln > clear:
+            continue
+        # interior_clearance's terms for this edge.
+        if min([ex * (py - ay) - ey * (px - ax) for px, py in verts]) / ln <= EPS:
+            raise GeometryError("query set must be interior to the window")
 
 
 class QueryBody:
@@ -395,6 +422,13 @@ def _bounds(verts: Sequence[Point]) -> tuple[float, float, float, float]:
     xs = [x for x, _ in verts]
     ys = [y for _, y in verts]
     return min(xs), max(xs), min(ys), max(ys)
+
+
+def _bounding_circle(verts: Sequence[Point]) -> tuple[float, float, float]:
+    """(cx, cy, radius): the vertex mean and the largest distance from it."""
+    cx = sum([x for x, _ in verts]) / len(verts)
+    cy = sum([y for _, y in verts]) / len(verts)
+    return cx, cy, max([math.hypot(x - cx, y - cy) for x, y in verts])
 
 
 def first_hit_time(tess: Tessellation, body: ConvexPolygon | CompactSet) -> float:
@@ -459,9 +493,7 @@ def _near_test(queries: Sequence[QueryBody]) -> Callable[[ConvexPolygon], bool] 
             if verts is None:
                 return None
             x0, x1, y0, y1 = _bounds(verts)
-            cx = sum(x for x, _ in verts) / len(verts)
-            cy = sum(y for _, y in verts) / len(verts)
-            radius = max(math.hypot(x - cx, y - cy) for x, y in verts)
+            cx, cy, radius = _bounding_circle(verts)
             bounds = (x0 - m, x1 + m, y0 - m, y1 + m)
             pieces.append((bounds, cx, cy, radius, verts, _outward_normals(verts, m)))
 
@@ -498,7 +530,8 @@ class HitQuery:
 
     Construction checks that every body lies in the window's interior and
     builds each body's reach box and the pruning test, so a loop over
-    seeds does none of this per replicate.
+    seeds does none of this per replicate. The window's hitting law is kept
+    for the last measure asked, so the first cell of every replicate reuses it.
     """
 
     def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
@@ -508,6 +541,12 @@ class HitQuery:
             raise ValueError("need at least one query body")
         self._queries = tuple(QueryBody(body, window) for body in self.bodies)
         self._near = _near_test(self._queries)
+        self._root: tuple = (None, None)
+
+    def _root_law(self, measure: DirectionalMeasure) -> tuple:
+        if self._root[0] is not measure:
+            self._root = (measure, _hitting_law(measure, self.window))
+        return self._root[1]
 
     def first_hit(self, time: float, measure: DirectionalMeasure, seed: int) -> float:
         """Earliest time <= ``time`` at which a division chord meets any body; inf if none.
@@ -521,7 +560,8 @@ class HitQuery:
         order). Consequently ``EVENT_CAP`` counts expanded events only, and
         cells that are never expanded cannot fail.
         """
-        return self._first_hit(SimulationParams(self.window, time, measure, seed), [])
+        params = SimulationParams(self.window, time, measure, seed)
+        return self._first_hit(params, [], self._root_law(measure))
 
     def first_hit_nested(
         self, time: float, extra_time: float, measure: DirectionalMeasure, seed: int, nest_seed: int
@@ -545,20 +585,21 @@ class HitQuery:
         if extra_time < 0.0 or not math.isfinite(extra_time):
             raise ValueError("time parameter must be finite and >= 0")
         live: list = []
-        outer = self._first_hit(SimulationParams(self.window, time, measure, seed), live)
+        params = SimulationParams(self.window, time, measure, seed)
+        outer = self._first_hit(params, live, self._root_law(measure))
         if outer != math.inf:
             return outer
         inner = math.inf
-        for _, label, poly, _, _ in live:
+        for _, label, poly, _, _, _ in live:
             params = SimulationParams(poly, min(extra_time, inner), measure, mix_seed(nest_seed, label))
             inner = min(inner, self._first_hit(params, []))
         # nest() dates each inner chord time + its inner time.
         return time + inner
 
-    def _first_hit(self, params: SimulationParams, live: list) -> float:
+    def _first_hit(self, params: SimulationParams, live: list, root_law: tuple | None = None) -> float:
         """Death of the first event of the pruned run whose chord meets a body; inf if none."""
         queries = self._queries
-        for death, cut in _divisions(params, live, self._near):
+        for death, cut in _divisions(params, live, self._near, root_law):
             if cut is not None and any(q.meets(cut[0], cut[1]) for q in queries):
                 return death
         return math.inf

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stitlab.geometry as geometry
 from conftest import assert_check, random_convex_polygon, random_direction
 from stitlab.geometry import (
     CompactSet,
@@ -23,6 +24,7 @@ from stitlab.geometry import (
     contains_point,
     convex_hull,
     _canonical_loop,
+    _clip_loop,
     _perp_distance,
     diameter,
     dilate,
@@ -572,6 +574,123 @@ class TestCanonicalLoopMatchesReference:
         v = poly.vertices
         expected = 0.0 if len(v) == 1 else sum(_dist(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
         assert repr(perimeter(poly)) == repr(expected)
+
+
+def reference_clip(poly, plane, side):
+    """clip as one _clip_loop followed by the full canonicalisation."""
+    loop = _clip_loop(poly.vertices, plane.u.x, plane.u.y, plane.r, side == "plus")
+    if all(abs(plane.u.dot(p) - plane.r) <= 1e-9 for p in loop):
+        return None
+    return ConvexPolygon(tuple(loop))
+
+
+def clip_outcome(fn, poly, plane, side):
+    """Vertices and perimeter (both as reprs) of the clipped polygon, None, or the error."""
+    try:
+        out = fn(poly, plane, side)
+    except GeometryError as err:
+        return f"GeometryError({err})"
+    return None if out is None else (repr(out.vertices), repr(perimeter(out)))
+
+
+def line_at(u, r):
+    """Hyperplane {<x, u> = r}, flipped to r >= 0."""
+    return Hyperplane(r, u) if r >= 0.0 else Hyperplane(-r, Direction(-u.x, -u.y))
+
+
+@st.composite
+def polygon_cuts(draw):
+    """A canonical polygon (possibly far from the origin) and a line cutting it.
+
+    The line passes through a vertex, within 1e-9 of one, nearly parallel to
+    an edge, just inside a support line (a sliver child) or anywhere across.
+    """
+    try:
+        poly = ConvexPolygon(tuple(draw(convex_loops())))
+    except GeometryError:
+        poly = box(0.0, 0.0, 1.0, 1.0)
+    verts = poly.vertices
+    k = draw(st.integers(0, len(verts) - 1))
+    vx, vy = verts[k]
+    kind = draw(st.sampled_from(["vertex", "near vertex", "near parallel", "sliver", "across"]))
+    if kind == "near parallel" and len(verts) > 1:
+        (ax, ay), (bx, by) = verts[k], verts[(k + 1) % len(verts)]
+        tilt = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6])) * draw(st.sampled_from([-1.0, 1.0]))
+        u = Direction.from_angle(math.atan2(ax - bx, by - ay) + tilt)
+        t = draw(st.floats(0.0, 1.0))
+        r = u.dot((ax + t * (bx - ax), ay + t * (by - ay))) + draw(st.floats(-2e-9, 2e-9))
+        return poly, line_at(u, r)
+    u = Direction.from_angle(draw(st.floats(0.0, 2.0 * math.pi)))
+    lo, hi = projection_bounds(verts, u.x, u.y)
+    if kind == "vertex":
+        r = u.dot((vx, vy))
+    elif kind == "near vertex":
+        r = u.dot((vx, vy)) + draw(st.floats(-1e-9, 1e-9))
+    elif kind == "sliver":
+        r = hi - draw(st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1e-8, 1e-6]))
+    else:
+        r = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return poly, line_at(u, r)
+
+
+class TestClipMatchesReference:
+    """clip's local canonicalisation gives the full path's vertices, bit for
+    bit, its perimeter, and its error."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(polygon_cuts(), st.sampled_from(["minus", "plus"]))
+    def test_cuts(self, cut, side):
+        poly, plane = cut
+        assert clip_outcome(clip, poly, plane, side) == clip_outcome(reference_clip, poly, plane, side)
+
+    @pytest.mark.parametrize("offset,some_fall_back", [(1e4, False), (1e6, True), (1e8, True)])
+    def test_far_from_origin(self, offset, some_fall_back, monkeypatch):
+        # From 1e6 on, rounding trips the local checks on some of these cuts
+        # (at 1e4 on about 2 in 10^4 clips); those run the full canonicalisation,
+        # which may also raise.
+        full = []
+        original = geometry._canonical_loop
+        monkeypatch.setattr(geometry, "_canonical_loop", lambda pts: full.append(1) or original(pts))
+        rng = np.random.default_rng(17)
+        fallbacks = 0
+        poly = box(offset, offset, offset + 4.0, offset + 4.0)
+        for _ in range(300):
+            u = Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+            lo, hi = projection_bounds(poly.vertices, u.x, u.y)
+            plane = line_at(u, lo + rng.uniform(0.0, 1.0) * (hi - lo))
+            for side in ("minus", "plus"):
+                before = len(full)
+                local = clip_outcome(clip, poly, plane, side)
+                fallbacks += len(full) - before
+                assert local == clip_outcome(reference_clip, poly, plane, side)
+            try:
+                out = clip(poly, plane, "minus")
+            except GeometryError:
+                out = None
+            # Keep cutting the minus side while it is not too small.
+            if out is not None and len(out.vertices) >= 3 and area(out) > 1e-3:
+                poly = out
+            else:
+                poly = box(offset, offset, offset + 4.0, offset + 4.0)
+        assert (fallbacks > 0) >= some_fall_back
+
+    def test_many_inherited_vertices(self, monkeypatch):
+        # Cuts of a 64-gon keep long runs of vertices whose neighbours are
+        # unchanged, which the local scan skips; none needs the full path.
+        gon = regular_polygon(64, 10.0, (3.0, -2.0))
+        full = []
+        original = geometry._canonical_loop
+        monkeypatch.setattr(geometry, "_canonical_loop", lambda pts: full.append(1) or original(pts))
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            u = Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+            lo, hi = projection_bounds(gon.vertices, u.x, u.y)
+            plane = line_at(u, lo + rng.uniform(0.0, 1.0) * (hi - lo))
+            for side in ("minus", "plus"):
+                local = clip_outcome(clip, gon, plane, side)
+                assert not full
+                assert local == clip_outcome(reference_clip, gon, plane, side)
+                full.clear()
 
 
 class TestProjectionBounds:

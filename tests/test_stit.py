@@ -19,10 +19,12 @@ from stitlab.capacity import (
     increment_check,
     mc_joint,
     mc_missing,
+    replicate_first_hits,
 )
 from stitlab.checks import window_tree_first_hits
 from stitlab.cli import main as cli_main
 from stitlab.geometry import (
+    EPS,
     CompactSet,
     ConvexPolygon,
     Direction,
@@ -39,6 +41,7 @@ from stitlab.geometry import (
     polygon_to_json,
     regular_polygon,
     segment_hits_body,
+    translate,
 )
 from stitlab.measure import (
     DirectionalMeasure,
@@ -171,6 +174,100 @@ class TestSimulate:
             xs = sorted({round(v[0], 12) for v in c.polygon.vertices})
             ys = sorted({round(v[1], 12) for v in c.polygon.vertices})
             assert len(xs) == 2 and len(ys) == 2
+
+
+class TestEventCalls:
+    """Each draw of a dividing line makes two ``stit.clip`` calls and each
+    event one ``stit.chord`` call: the benchmark's tracer counts division
+    events on ``chord`` and reads clips per event from ``clip``."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        clip, chord = stit_mod.clip, stit_mod.chord
+
+        def clip_spy(poly, plane, side):
+            out = clip(poly, plane, side)
+            calls.append(("clip", poly, plane, side, out))
+            return out
+
+        def chord_spy(poly, plane):
+            calls.append(("chord", poly, plane))
+            return chord(poly, plane)
+
+        monkeypatch.setattr(stit_mod, "clip", clip_spy)
+        monkeypatch.setattr(stit_mod, "chord", chord_spy)
+        return calls
+
+    @staticmethod
+    def events(calls):
+        """Events in the call log, checking its shape: per draw a minus and a
+        plus clip of one cell by one line, and after the draw whose children
+        are both non-empty one chord of that cell by that line."""
+        events = draws = i = 0
+        while i < len(calls):
+            (k1, poly, plane, side1, minus), (k2, poly2, plane2, side2, plus) = calls[i], calls[i + 1]
+            assert (k1, side1, k2, side2) == ("clip", "minus", "clip", "plus")
+            assert poly2 is poly and plane2 is plane
+            draws += 1
+            i += 2
+            if minus is not None and plus is not None:
+                assert calls[i] == ("chord", poly, plane)
+                events += 1
+                i += 1
+        return events, draws
+
+    @pytest.mark.parametrize("measure_name", ["isotropic", "axis", "mixed"])
+    def test_simulate(self, measure_name, monkeypatch):
+        calls = self.record(monkeypatch)
+        t = simulate(params(box(0, 0, 8, 8), 1.5, QUERY_MEASURES[measure_name], 21))
+        events, draws = self.events(calls)
+        # Each event turns one live cell into two.
+        assert events == len(t.cells) - 1 > 10 and draws >= events
+
+    def test_query_driven_and_nested_runs(self, iso, monkeypatch):
+        square = box(0.0, 0.0, 1.0, 1.0)
+        query = HitQuery(box(-1.0, -1.0, 2.0, 2.0), [square])
+        calls = self.record(monkeypatch)
+        for seed in range(5):
+            query.first_hit_nested(0.3, 0.3, iso, seed, seed)
+        events, _ = self.events(calls)
+        assert events > 0
+
+
+class TestRequireInterior:
+    """The bounding-circle pre-test does not change which bodies are refused."""
+
+    def test_matches_interior_clearance(self):
+        rng = np.random.default_rng(3)
+        refused = 0
+        for k in range(600):
+            offset = (0.0, 1e4, 1e6)[k // 3 % 3]
+            window = translate(regular_polygon(int(rng.integers(3, 40)), 2.0), (offset, offset))
+            (ax, ay), (bx, by) = window.vertices[:2]
+            ex, ey = bx - ax, by - ay
+            nx, ny = -ey / math.hypot(ex, ey), ex / math.hypot(ex, ey)
+            # A point on the first edge, and one a few EPS inside or outside it.
+            t, d = rng.uniform(0.2, 0.8), rng.uniform(-3e-9, 3e-9) + 1e-9
+            foot = (ax + t * ex, ay + t * ey)
+            tip = (foot[0] + d * nx, foot[1] + d * ny)
+            if k % 3 == 0:
+                body = translate(regular_polygon(16, rng.uniform(0.1, 2.2)), (offset, offset))
+            elif k % 3 == 1:
+                body = convex_hull([tip, (offset - 0.2, offset), (offset + 0.2, offset)])
+            else:
+                # A segment along the inward normal: its bounding circle touches the edge line at the tip.
+                body = ConvexPolygon((tip, (tip[0] + 0.5 * nx, tip[1] + 0.5 * ny)))
+            verts = [v for piece in body.pieces for v in piece.vertices]
+            expected = interior_clearance(window, verts) <= EPS
+            try:
+                stit_mod.require_interior(window, body)
+                raised = False
+            except GeometryError:
+                raised = True
+            assert raised == expected
+            refused += raised
+        assert 0 < refused < 600
 
 
 class TestRestrict:
@@ -643,8 +740,49 @@ class TestPinnedOutputs:
     )
     def test_tessellation_json(self, window, measure_name, seed, cells, digest):
         t = simulate(params(window, 1.0, QUERY_MEASURES[measure_name], seed))
-        doc = json.dumps(tessellation_to_json(t), sort_keys=True).encode()
-        assert (len(t.cells), hashlib.sha256(doc).hexdigest()) == (cells, digest)
+        assert self.digest(t) == (cells, digest)
+
+    @staticmethod
+    def digest(tess):
+        doc = json.dumps(tessellation_to_json(tess), sort_keys=True).encode()
+        return len(tess.cells), hashlib.sha256(doc).hexdigest()
+
+    # Recorded before cells kept their hitting law and clip canonicalised
+    # its output locally.
+    def test_64gon_axis_box_and_nest(self):
+        gon = simulate(params(regular_polygon(64, 3.0, (0.5, -0.25)), 1.0, QUERY_MEASURES["mixed"], 4))
+        assert self.digest(gon) == (61, "9255f4ad345a59202202fb9b14a55a4b6f93cf21bfa7f8ad402c1aed8272e323")
+        axes = simulate(params(box(0, 0, 10, 10), 2.0, QUERY_MEASURES["axis"], 5))
+        assert self.digest(axes) == (110, "fa204bfce8d16ec0fa6d02e8b9af8ae387fd39f0d8c2cf027835e6200e40d9b7")
+        iso = QUERY_MEASURES["isotropic"]
+        nested = nest(simulate(params(box(0, 0, 4, 4), 0.6, iso, 6)), 0.4, iso, 7)
+        assert self.digest(nested) == (75, "2c26d2c79ad30270e32ad152df62c5eb249bf81b84947e3ee61746c3d2eddb24")
+
+    @pytest.mark.parametrize(
+        "measure_name,missing,joint,increment,taus",
+        [
+            ("isotropic", (0.15333333333333332, 0.029419066631718307), (0.36, 0.03919183588453085),
+             (0.14666666666666667, 0.02888546988315008, 0.4199447574288832),
+             "eb62c765eaeb0a6ca2341008622946b5fd52bd00f68116df938a8f7cd047d404"),
+            ("axis", (0.56, 0.04052982440952177), (0.8533333333333334, 0.028885469883150078),
+             (0.15333333333333332, 0.029419066631718307, 0.187689612889979),
+             "0111fcc87caaa0cbeda4bf9741364be042efe82ed37b239b082c8b333a478031"),
+            ("mixed", (0.21333333333333335, 0.03344868928395872), (0.47333333333333333, 0.04076672571995359),
+             (0.10666666666666667, 0.02520435000668058, 0.3999175411111254),
+             "ff1406d65f1f42ad1fd95bfe4428caf62a2bf0bce4e1b9501ba98fadce01026e"),
+        ],
+    )
+    def test_estimators(self, measure_name, missing, joint, increment, taus):
+        measure = QUERY_MEASURES[measure_name]
+        square = QUERY_BODIES["square"][0]
+        e = mc_missing(square, 0.5, measure, 150, 11)
+        assert (e.mean, e.stderr) == missing
+        e = mc_joint(*QUERY_BODIES["pair h=5"], 0.3, measure, 150, 12)
+        assert (e.mean, e.stderr) == joint
+        rep = increment_check(square, 0.4, 0.2, measure, 150, 13)
+        assert (rep.increment, rep.stderr, rep.bound) == increment
+        times = replicate_first_hits([square], 0.5, measure, 150, 11, default_window(square))
+        assert hashlib.sha256(repr(times).encode()).hexdigest() == taus
 
     def test_first_hit_times(self):
         square = box(0.0, 0.0, 1.0, 1.0)
