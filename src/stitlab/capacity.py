@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import CompactSet, ConvexPolygon, convex_hull, diameter, dilate, hull_of
+from .geometry import CompactSet, ConvexPolygon, _joint_hull, diameter, dilate, hull_of
 from .measure import DirectionalMeasure, hit_mass
 from .stit import HitQuery, mix_seed
 
@@ -55,11 +55,21 @@ def pool(estimates: Sequence[Estimate]) -> Estimate:
     return _bernoulli(successes, n, mix_seed(*sorted(e.seed for e in estimates)))
 
 
-def missing_probability(body: Body, time: float, measure: DirectionalMeasure) -> float:
-    """P(a connected compact is untouched at the given time): exp(-t * mass)."""
+def _missing(mass: float, time: float) -> float:
+    """exp(-t * mass): the missing probability of a body of that hitting mass."""
     if time < 0.0:
         raise ValueError("time must be >= 0")
-    return math.exp(-time * hit_mass(measure, body))
+    return math.exp(-time * mass)
+
+
+def _growth_bound(mass: float, time: float) -> float:
+    """``capacity_growth_bound`` of a body of that hitting mass."""
+    return mass * (1.0 + time * mass) * _missing(mass, time)
+
+
+def missing_probability(body: Body, time: float, measure: DirectionalMeasure) -> float:
+    """P(a connected compact is untouched at the given time): exp(-t * mass)."""
+    return _missing(hit_mass(measure, body), time)
 
 
 def capacity_growth_bound(body: Body, time: float, measure: DirectionalMeasure) -> float:
@@ -67,10 +77,9 @@ def capacity_growth_bound(body: Body, time: float, measure: DirectionalMeasure) 
 
     Lambda([conv K]) * (1 + t * Lambda([conv K])) * (missing probability at t).
     The last factor is the closed form, so a disconnected body raises
-    MeasureError (``missing_probability``).
+    MeasureError (``hit_mass``).
     """
-    lam = hit_mass(measure, hull_of(body))
-    return lam * (1.0 + time * lam) * missing_probability(body, time, measure)
+    return _growth_bound(hit_mass(measure, body), time)
 
 
 def default_window(body: Body, margin_fraction: float = 0.1) -> ConvexPolygon:
@@ -95,6 +104,8 @@ def replicate_first_hits(
     the window's interior (``stit.HitQuery``), and each run expands only the
     cells that meet them and stops at the first hitting chord.
     """
+    if n < 1:
+        raise ValueError("need at least one replication")
     query = HitQuery(window, bodies)
     return [query.first_hit(time, measure, mix_seed(seed, i)) for i in range(n)]
 
@@ -108,8 +119,6 @@ def mc_missing(
     window: ConvexPolygon | None = None,
 ) -> Estimate:
     """Fraction of independent runs in which the body is untouched."""
-    if n < 1:
-        raise ValueError("need at least one replication")
     if window is None:
         window = default_window(body)
     taus = replicate_first_hits([body], time, measure, n, seed, window)
@@ -126,11 +135,8 @@ def mc_joint(
     window: ConvexPolygon | None = None,
 ) -> Estimate:
     """Fraction of runs in which both bodies are untouched simultaneously."""
-    if n < 1:
-        raise ValueError("need at least one replication")
     if window is None:
-        verts = list(hull_of(body_a).vertices) + list(hull_of(body_b).vertices)
-        window = default_window(convex_hull(verts))
+        window = default_window(_joint_hull(body_a, body_b))
     taus = replicate_first_hits([body_a, body_b], time, measure, n, seed, window)
     return _bernoulli(taus.count(math.inf), n, seed)
 

@@ -827,6 +827,11 @@ def hull_of(body: ConvexPolygon | CompactSet) -> ConvexPolygon:
     return convex_hull(_vertices_of(body))
 
 
+def _joint_hull(a: ConvexPolygon | CompactSet, b: ConvexPolygon | CompactSet) -> ConvexPolygon:
+    """Convex hull of two bodies together, from the vertices of their hulls."""
+    return convex_hull(list(hull_of(a).vertices) + list(hull_of(b).vertices))
+
+
 # ---------------------------------------------------------------------------
 # Common shapes and JSON forms
 

@@ -24,6 +24,7 @@ from .geometry import (
     ConvexPolygon,
     Direction,
     Hyperplane,
+    _joint_hull,
     convex_hull,
     hull_of,
     perimeter,
@@ -223,30 +224,21 @@ def min_separation_rate(measure: DirectionalMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Separating mass
+# Separating and double-hit masses
 
 
-def _positive_interval_length(lo: float, hi: float) -> float:
-    """Length of (lo, hi) cut to r >= 0; zero when the interval is empty."""
-    if hi <= lo:
-        return 0.0
-    lo, hi = _cut(lo, hi)
-    return hi - lo
+def _separating_atoms(measure: DirectionalMeasure, atoms_a: list, atoms_b: list) -> float:
+    """The atoms' part of ``separating_mass``: the gaps between the hulls' cut r-ranges."""
+    return sum(
+        w * ((b_lo - a_hi if b_lo > a_hi else 0.0) + (a_lo - b_hi if a_lo > b_hi else 0.0))
+        for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b)
+    )
 
 
-def _atom_separating_length(
-    u: Direction, a: ConvexPolygon, b: ConvexPolygon
-) -> float:
-    """r-length of {r >= 0 : the line (r, u) strictly separates a and b}."""
-    a_lo, a_hi = projection_bounds(a.vertices, u.x, u.y)
-    b_lo, b_hi = projection_bounds(b.vertices, u.x, u.y)
-    return _positive_interval_length(a_hi, b_lo) + _positive_interval_length(b_hi, a_lo)
-
-
-def _minkowski_difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
-    """Hull of {p - q : p in a, q in b}; contains the origin iff hulls meet."""
-    pts = [(p[0] - q[0], p[1] - q[1]) for p in a.vertices for q in b.vertices]
-    return convex_hull(pts)
+def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """The isotropic part of ``separating_mass``, from the hull of {p - q : p in a, q in b}."""
+    diff = convex_hull([(p[0] - q[0], p[1] - q[1]) for p in a.vertices for q in b.vertices])
+    return measure.isotropic_mass / TWO_PI * _negative_support_integral(diff)
 
 
 def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float, float, float]]:
@@ -324,11 +316,62 @@ def separating_mass(
     """
     hull_a = hull_of(a)
     hull_b = hull_of(b)
-    total = sum(w * _atom_separating_length(u, hull_a, hull_b) for u, w in measure.atoms)
+    total = _separating_atoms(
+        measure, _hitting_law(measure, hull_a)[3], _hitting_law(measure, hull_b)[3]
+    )
     if measure.isotropic_mass > 0.0:
-        diff = _minkowski_difference_hull(hull_a, hull_b)
-        total += measure.isotropic_mass / TWO_PI * _negative_support_integral(diff)
+        total += _separating_isotropic(measure, hull_a, hull_b)
     return total
+
+
+@dataclass(frozen=True)
+class _PairTerms:
+    """Hitting masses of two connected bodies and of ``hull``, their joint
+    hull; ``sep``, the mass of lines separating them; and ``both`` (c*), the
+    mass of lines hitting both. Every two-body closed form is a formula over these.
+    """
+
+    mass_a: float
+    mass_b: float
+    mass_hull: float
+    sep: float
+    both: float
+    hull: ConvexPolygon
+
+
+def _pair_terms(
+    measure: DirectionalMeasure,
+    a: ConvexPolygon | CompactSet,
+    b: ConvexPolygon | CompactSet,
+    law_a: tuple | None = None,
+) -> _PairTerms:
+    """A pair's terms from one hitting law per hull (``law_a``, if given, is a's).
+
+    Atom lengths come from the laws' cut r-ranges. The isotropic part of c*
+    is mass(a) + mass(b) - (mass(hull) - separating mass) from the laws'
+    perimeters, with rounding error about 1e-16 times the hull's mass. Sums
+    keep the order that seeded and pinned results depend on.
+    """
+    if not (a.connected and b.connected):
+        raise MeasureError("closed forms of two bodies require connected bodies")
+    hull_a = hull_of(a)
+    hull_b = hull_of(b)
+    hull = _joint_hull(hull_a, hull_b)
+    mass_a, _, per_a, atoms_a = law_a or _hitting_law(measure, hull_a)
+    mass_b, _, per_b, atoms_b = _hitting_law(measure, hull_b)
+    mass_hull, _, per, _ = _hitting_law(measure, hull)
+    sep = _separating_atoms(measure, atoms_a, atoms_b)
+    both = 0.0
+    for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b):
+        lo = max(a_lo, b_lo)
+        hi = min(a_hi, b_hi)
+        both += w * (hi - lo if hi > lo else 0.0)
+    iso = measure.isotropic_mass
+    if iso > 0.0:
+        sep_iso = _separating_isotropic(measure, hull_a, hull_b)
+        sep += sep_iso
+        both += iso / TWO_PI * per_a + iso / TWO_PI * per_b - (iso / TWO_PI * per - sep_iso)
+    return _PairTerms(mass_a, mass_b, mass_hull, sep, both, hull)
 
 
 def double_hit_mass(
@@ -340,28 +383,9 @@ def double_hit_mass(
 
     Each atom contributes the overlap of the two projection intervals on
     r >= 0, so that part is exactly zero when the projections are disjoint.
-    The isotropic part comes from inclusion-exclusion, mass(a) + mass(b) -
-    (mass(hull) - separating mass), whose rounding error is about 1e-16 times
-    the hull's hitting mass.
+    The isotropic part comes from inclusion-exclusion (``_pair_terms``).
     """
-    if not (a.connected and b.connected):
-        raise MeasureError("double hit mass requires connected sets")
-    hull_a = hull_of(a)
-    hull_b = hull_of(b)
-    total = 0.0
-    for u, w in measure.atoms:
-        a_lo, a_hi = projection_bounds(hull_a.vertices, u.x, u.y)
-        b_lo, b_hi = projection_bounds(hull_b.vertices, u.x, u.y)
-        total += w * _positive_interval_length(max(a_lo, b_lo), min(a_hi, b_hi))
-    if measure.isotropic_mass > 0.0:
-        iso = isotropic_measure(measure.isotropic_mass)
-        hull = convex_hull(list(hull_a.vertices) + list(hull_b.vertices))
-        total += (
-            hit_mass(iso, hull_a)
-            + hit_mass(iso, hull_b)
-            - (hit_mass(iso, hull) - separating_mass(iso, hull_a, hull_b))
-        )
-    return total
+    return _pair_terms(measure, a, b).both
 
 
 # ---------------------------------------------------------------------------

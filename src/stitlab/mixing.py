@@ -11,7 +11,10 @@ covariance ratio.
 Notation used below: mass_a, mass_b and mass_hull are the hitting masses of
 the two bodies and of their joint hull, sep the separating mass,
 d = mass_hull - mass_a - mass_b, and c* = sep - d the mass of lines hitting
-both bodies. The closed form gives joint / product - 1 =
+both bodies. One record, ``measure._pair_terms``, computes these five terms
+of a body pair once, with one hitting law per hull; every two-body closed
+form here, and ``measure.double_hit_mass``, is a formula over it, and a
+sweep builds one record per row. The closed form gives joint / product - 1 =
 (c* - sep exp(-t d)) / d; adding back the omitted never-divided term
 exp(-t mass_hull) gives the full covariance ratio minus one exactly,
 c* (1 - exp(-t d)) / d. Far apart, both tend to c* / d, so the decay law
@@ -27,30 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Estimate, capacity_growth_bound, default_window, mc_joint, missing_probability
-from .geometry import (
-    CompactSet,
-    ConvexPolygon,
-    Direction,
-    convex_hull,
-    hull_of,
-    piece_distance,
-    translate,
-)
-from .measure import (
-    DirectionalMeasure,
-    double_hit_mass,
-    hit_mass,
-    separating_mass,
-    separation_rate,
-)
+from .capacity import Estimate, _growth_bound, _missing, default_window, mc_joint
+from .geometry import CompactSet, ConvexPolygon, Direction, hull_of, piece_distance, translate
+from .measure import DirectionalMeasure, _hitting_law, _pair_terms, _PairTerms, separation_rate
 from .stit import mix_seed
 
 Body = ConvexPolygon | CompactSet
-
-
-def _joint_hull(body_a: Body, body_b: Body) -> ConvexPolygon:
-    return convex_hull(list(hull_of(body_a).vertices) + list(hull_of(body_b).vertices))
 
 
 def translate_body(body: Body, t: tuple[float, float]) -> Body:
@@ -67,6 +52,26 @@ def _expm1_ratio(time: float, rate_gap: float) -> float:
     return -math.expm1(-x) / rate_gap
 
 
+def _closed_forms(pair: _PairTerms, time: float) -> dict[str, float]:
+    """A sweep row's closed-form fields, each a formula over one pair record.
+
+    ``ratio_minus_one`` is c* (1 - exp(-t d)) / d - exp(-t d) with c* the
+    record's double-hit mass. Subtracting one from the ratio would instead
+    leave c* as the difference of masses of size ~h and return rounding
+    noise once the exact value falls below ~1e-16.
+    """
+    mass_a, mass_b = pair.mass_a, pair.mass_b
+    gap = pair.mass_hull - mass_a - mass_b
+    ratio = _expm1_ratio(time, gap)
+    return {
+        "product_exact": _missing(mass_a, time) * _missing(mass_b, time),
+        "joint_gamma_exact": pair.sep * math.exp(-time * (mass_a + mass_b)) * ratio,
+        "ratio_minus_one": pair.both * ratio - math.exp(-time * gap),
+        "gamma_complement_bound": math.exp(-time * pair.mass_hull),
+        "chi_bound": _growth_bound(mass_a, time) + _growth_bound(mass_b, time) + mass_a + mass_b,
+    }
+
+
 def joint_missing_closed_form(
     body_a: Body, body_b: Body, time: float, measure: DirectionalMeasure
 ) -> float:
@@ -77,14 +82,7 @@ def joint_missing_closed_form(
     mass minus the two body masses. Touching hulls give zero (no line
     separates them).
     """
-    if not (body_a.connected and body_b.connected):
-        raise ValueError("closed form requires connected bodies")
-    mass_a = hit_mass(measure, body_a)
-    mass_b = hit_mass(measure, body_b)
-    mass_hull = hit_mass(measure, _joint_hull(body_a, body_b))
-    sep = separating_mass(measure, body_a, body_b)
-    gap = mass_hull - mass_a - mass_b
-    return sep * math.exp(-time * (mass_a + mass_b)) * _expm1_ratio(time, gap)
+    return _closed_forms(_pair_terms(measure, body_a, body_b), time)["joint_gamma_exact"]
 
 
 def closed_form_ratio_minus_one(
@@ -93,39 +91,23 @@ def closed_form_ratio_minus_one(
     """joint_missing_closed_form / product of the marginals, minus one.
 
     Equals (c* - sep exp(-t d)) / d (notation in the module docstring),
-    evaluated as c* (1 - exp(-t d)) / d - exp(-t d) with c* taken from
-    ``double_hit_mass``. Subtracting one from the ratio would instead leave
-    c* as the difference of masses of size ~h and return rounding noise once
-    the exact value falls below ~1e-16.
+    evaluated without cancellation as c* (1 - exp(-t d)) / d - exp(-t d).
     """
-    if not (body_a.connected and body_b.connected):
-        raise ValueError("closed form requires connected bodies")
-    gap = (
-        hit_mass(measure, _joint_hull(body_a, body_b))
-        - hit_mass(measure, body_a)
-        - hit_mass(measure, body_b)
-    )
-    both = double_hit_mass(measure, body_a, body_b)
-    return both * _expm1_ratio(time, gap) - math.exp(-time * gap)
+    return _closed_forms(_pair_terms(measure, body_a, body_b), time)["ratio_minus_one"]
 
 
 def closed_form_error_bound(
     body_a: Body, body_b: Body, time: float, measure: DirectionalMeasure
 ) -> float:
     """Bound on what the closed form omits: P(the joint hull is never divided)."""
-    return math.exp(-time * hit_mass(measure, _joint_hull(body_a, body_b)))
+    return _closed_forms(_pair_terms(measure, body_a, body_b), time)["gamma_complement_bound"]
 
 
 def mixing_constant(
     body_a: Body, body_b: Body, time: float, measure: DirectionalMeasure
 ) -> float:
     """Motion-invariant constant in the covariance upper bound."""
-    return (
-        capacity_growth_bound(body_a, time, measure)
-        + capacity_growth_bound(body_b, time, measure)
-        + hit_mass(measure, hull_of(body_a))
-        + hit_mass(measure, hull_of(body_b))
-    )
+    return _closed_forms(_pair_terms(measure, body_a, body_b), time)["chi_bound"]
 
 
 @dataclass(frozen=True)
@@ -167,6 +149,8 @@ class SweepConfig:
     mc_n: int | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(h) and h > 0.0 for h in self.distances):
+            raise ValueError("sweep distances must be finite and > 0")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
             raise ValueError("sweep distances must be strictly increasing")
         if self.time <= 0.0:
@@ -176,64 +160,38 @@ class SweepConfig:
 def sweep(config: SweepConfig) -> list[MixingRow]:
     """Evaluate the closed forms (and optional Monte Carlo) over the sweep.
 
-    Each row's ``ratio_minus_one`` comes from ``closed_form_ratio_minus_one``:
+    Each row builds one pair record (``measure._pair_terms``), reusing body
+    A's hitting law, and takes every closed-form field from it, as the
+    per-pair functions do. Its ``ratio_minus_one`` is
     (c* - sep exp(-t d)) / d, whose full-covariance counterpart is
     c* (1 - exp(-t d)) / d. Rows where the translated body overlaps the fixed
     one are flagged and carry no probabilities.
     """
-    zeta = separation_rate(config.measure, config.direction)
+    measure, time = config.measure, config.time
+    zeta = separation_rate(measure, config.direction)
+    hull_a = hull_of(config.body_a)
+    law_a = _hitting_law(measure, hull_a)
     rows: list[MixingRow] = []
     for index, h in enumerate(config.distances):
         shift = (h * config.direction.x, h * config.direction.y)
         body_b = translate_body(config.body_b, shift)
-        hull_a = hull_of(config.body_a)
-        hull_b = hull_of(body_b)
-        if piece_distance(hull_a, hull_b) <= 1e-9:
-            rows.append(
-                MixingRow(
-                    h_norm=h,
-                    direction=config.direction,
-                    zeta=zeta,
-                    asymptote=1.0 / (h * zeta),
-                    overlap=True,
-                )
-            )
+        row = {"h_norm": h, "direction": config.direction, "zeta": zeta, "asymptote": 1.0 / (h * zeta)}
+        if piece_distance(hull_a, hull_of(body_b)) <= 1e-9:
+            rows.append(MixingRow(**row, overlap=True))
             continue
-        product = missing_probability(config.body_a, config.time, config.measure) * (
-            missing_probability(body_b, config.time, config.measure)
-        )
-        joint = joint_missing_closed_form(config.body_a, body_b, config.time, config.measure)
+        pair = _pair_terms(measure, config.body_a, body_b, law_a)
         mc = None
         if config.mc_n is not None:
-            window = default_window(_joint_hull(config.body_a, body_b))
             mc = mc_joint(
                 config.body_a,
                 body_b,
-                config.time,
-                config.measure,
+                time,
+                measure,
                 config.mc_n,
                 mix_seed(config.seed, index),
-                window=window,
+                window=default_window(pair.hull),
             )
-        rows.append(
-            MixingRow(
-                h_norm=h,
-                direction=config.direction,
-                zeta=zeta,
-                asymptote=1.0 / (h * zeta),
-                overlap=False,
-                product_exact=product,
-                joint_gamma_exact=joint,
-                ratio_minus_one=closed_form_ratio_minus_one(
-                    config.body_a, body_b, config.time, config.measure
-                ),
-                gamma_complement_bound=closed_form_error_bound(
-                    config.body_a, body_b, config.time, config.measure
-                ),
-                chi_bound=mixing_constant(config.body_a, body_b, config.time, config.measure),
-                joint_mc=mc,
-            )
-        )
+        rows.append(MixingRow(**row, overlap=False, **_closed_forms(pair, time), joint_mc=mc))
     return rows
 
 

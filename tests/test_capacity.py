@@ -184,6 +184,19 @@ class TestIncrementCheck:
     def test_bound_holds_on_example(self):
         assert_check("capacity.increment_bound")
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_needs_a_replication(self, iso, unit_square, n):
+        # The one replication loop rejects n < 1 for every estimator.
+        far = translate(unit_square, (3.0, 0.0))
+        calls = (
+            lambda: increment_check(unit_square, 1.0, 0.5, iso, n, seed=5),
+            lambda: mc_missing(unit_square, 1.0, iso, n, seed=5),
+            lambda: mc_joint(unit_square, far, 1.0, iso, n, seed=5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="need at least one replication"):
+                call()
+
     def test_monotone_in_time_with_coupled_seeds(self, iso, unit_square):
         # Coupled runs share replicate seeds, so hit fractions are ordered.
         w = default_window(unit_square)

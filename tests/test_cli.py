@@ -165,6 +165,14 @@ class TestMixingCommand:
         assert float(first[2]) == pytest.approx(math.exp(-4.0))
 
 
+    def test_zero_distance_is_bad_input(self, tmp_path, capsys):
+        config = {"measure": ISO_MEASURE, "A": "unit_square", "B": "unit_square", "direction": [1, 0]}
+        config.update(distances=[0.0, 2.0], a=1.0, seed=3)
+        cfg = write_config(tmp_path, "mix.json", config)
+        assert main(["mixing", "--config", cfg, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == "error: sweep distances must be finite and > 0\n"
+
+
 class TestIterateCommand:
     def test_report_matches_analytic(self, tmp_path, capsys):
         cfg = write_config(

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 
 from conftest import assert_check
 from stitlab.checks import closed_form_configs, first_split_terms, simpson
-from stitlab.geometry import CompactSet, ConvexPolygon, Direction, box, translate
-from stitlab.measure import hit_mass, separating_mass
+from stitlab.capacity import missing_probability
+from stitlab.geometry import CompactSet, ConvexPolygon, Direction, box, regular_polygon, translate
+from stitlab.measure import DirectionalMeasure, hit_mass, separating_mass
 from stitlab.mixing import (
     MixingRow,
     NoPowerLawError,
@@ -189,6 +190,41 @@ class TestSweep:
             want = (c_star - (c_star + d) * math.exp(-d)) / d
             assert math.isclose(r.ratio_minus_one, want, rel_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "case", ["segments", "unit-square", "64-gon", "point", "two-piece"]
+    )
+    def test_rows_equal_pair_functions(self, iso, axes, case):
+        # Every closed-form field of a row is the public per-pair function's
+        # value, bit for bit; the first distance of each grid is an overlap row.
+        body_a, body_b, direction = {
+            "segments": (UNIT_VSEG, UNIT_VSEG, Direction(0.0, 1.0)),
+            "unit-square": (box(0, 0, 1, 1), box(0, 0, 1, 1), Direction(2.0, 1.0)),
+            "64-gon": (regular_polygon(64), regular_polygon(64), E1),
+            "point": (ConvexPolygon(((0.0, 0.0),)), box(-1, -1, 1, 1), E1),
+            "two-piece": (CompactSet.of(box(0, 0, 1, 1), box(1, 0, 2, 1)), UNIT_VSEG, E1),
+        }[case]
+        mixed = DirectionalMeasure(
+            atoms=tuple(
+                (Direction.from_angle(theta), w)
+                for theta, w in ((0.0, 0.5), (math.pi, 0.5), (1.0, 0.4), (1.0 + math.pi, 0.4))
+            ),
+            isotropic_mass=math.pi,
+        )
+        for measure in (iso, axes, mixed):
+            config = SweepConfig(body_a, body_b, direction, (0.5, 3.0, 8.0), 0.7, measure)
+            rows = sweep(config)
+            assert [r.overlap for r in rows] == [True, False, False]
+            for r in rows[1:]:
+                b = translate_body(body_b, (r.h_norm * direction.x, r.h_norm * direction.y))
+                args = (body_a, b, config.time, measure)
+                assert r.product_exact == missing_probability(body_a, config.time, measure) * (
+                    missing_probability(b, config.time, measure)
+                )
+                assert r.joint_gamma_exact == joint_missing_closed_form(*args)
+                assert r.ratio_minus_one == closed_form_ratio_minus_one(*args)
+                assert r.gamma_complement_bound == closed_form_error_bound(*args)
+                assert r.chi_bound == mixing_constant(*args)
+
     def test_overlap_rows_flagged(self, iso):
         config = SweepConfig(
             body_a=box(0, 0, 1, 1),
@@ -209,6 +245,18 @@ class TestSweep:
                 body_b=UNIT_VSEG,
                 direction=E1,
                 distances=(5.0, 5.0),
+                time=1.0,
+                measure=iso,
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_distances_finite_and_positive(self, iso, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SweepConfig(
+                body_a=UNIT_VSEG,
+                body_b=UNIT_VSEG,
+                direction=E1,
+                distances=(bad, 2.0) if bad <= 0.0 else (2.0, bad),
                 time=1.0,
                 measure=iso,
             )
