@@ -82,11 +82,11 @@ def capacity_growth_bound(body: Body, time: float, measure: DirectionalMeasure) 
     return _growth_bound(hit_mass(measure, body), time)
 
 
-def default_window(body: Body, margin_fraction: float = 0.1) -> ConvexPolygon:
+def default_window(body: Body) -> ConvexPolygon:
     """Simulation window: the convex hull dilated by 10% of its diameter."""
     hull = hull_of(body)
     d = diameter(hull)
-    return dilate(hull, margin_fraction * d if d > 0.0 else 1.0)
+    return dilate(hull, 0.1 * d if d > 0.0 else 1.0)
 
 
 def replicate_first_hits(

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .capacity import mc_missing, missing_probability
+from .capacity import _bernoulli, mc_missing, missing_probability
 from .checks import run_suite
 from .geometry import (
     CompactSet,
@@ -246,15 +246,14 @@ def cmd_iterate(args) -> int:
         query.first_hit_nested(a, a2, measure, mix_seed(seed, 2 * i), mix_seed(seed, 2 * i + 1)) == math.inf
         for i in range(n)
     )
-    mean = misses / n
-    stderr = math.sqrt(mean * (1.0 - mean) / n)
-    analytic = math.exp(-(a + a2) * hit_mass(measure, body)) if body.connected else None
+    est = _bernoulli(misses, n, seed)
+    analytic = missing_probability(body, a + a2, measure) if body.connected else None
     report = {
         "config": {**config, "seed": seed, "n": n},
-        "mc_mean": mean,
-        "mc_stderr": stderr,
+        "mc_mean": est.mean,
+        "mc_stderr": est.stderr,
         "analytic": analytic,
-        "z": None if analytic is None or stderr == 0.0 else (mean - analytic) / stderr,
+        "z": None if analytic is None or est.stderr == 0.0 else (est.mean - analytic) / est.stderr,
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     if report["z"] is not None and abs(report["z"]) > 3.0:

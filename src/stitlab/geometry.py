@@ -303,28 +303,32 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
 
 
 def _clip_loop(
-    verts: Sequence[Point], nx: float, ny: float, c: float, keep_ge: bool
-) -> list[Point]:
-    """Clip a convex vertex loop against <x,n> >= c (or <= c).
+    verts: Sequence[Point], s: Sequence[float], tol: float
+) -> tuple[list[Point], list[int]]:
+    """Clip a convex vertex loop to the side where the offsets ``s`` are >= 0.
 
-    Vertices within EPS of the line are kept on both sides.
+    ``s[i]`` is vertex i's offset from the cutting line, positive on the
+    kept side, and vertices within ``tol`` of the line are kept on both
+    sides. Returns the kept loop and, per output vertex, its index in
+    ``verts``, or -1 for a new one.
     """
-    sign = 1.0 if keep_ge else -1.0
-    s = [sign * (x * nx + y * ny - c) for x, y in verts]
     n = len(verts)
-    if n == 1:
-        return [verts[0]] if s[0] >= -EPS else []
-    out: list[Point] = []
+    loop: list[Point] = []
+    src: list[int] = []
+    si = s[0]
     for i in range(n):
-        j = (i + 1) % n
-        si, sj = s[i], s[j]
-        if si >= -EPS:
-            out.append(verts[i])
-        if (si > EPS and sj < -EPS) or (si < -EPS and sj > EPS):
+        j = i + 1 if i + 1 < n else 0
+        sj = s[j]
+        if si >= -tol:
+            loop.append(verts[i])
+            src.append(i)
+        if (si > tol and sj < -tol) or (si < -tol and sj > tol):
             t = si / (si - sj)
-            vi, vj = verts[i], verts[j]
-            out.append((vi[0] + t * (vj[0] - vi[0]), vi[1] + t * (vj[1] - vi[1])))
-    return out
+            (xi, yi), (xj, yj) = verts[i], verts[j]
+            loop.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+            src.append(-1)
+        si = sj
+    return loop, src
 
 
 def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | None:
@@ -337,29 +341,13 @@ def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | N
         raise GeometryError(f"side must be 'plus' or 'minus', got {side!r}")
     ux, uy, r = plane.u.x, plane.u.y, plane.r
     verts = poly.vertices
-    n = len(verts)
-    # _clip_loop written out, noting where each output vertex came from: its
-    # index in ``verts``, or -1 for a new one. The kept side's offsets are s;
-    # with none above EPS the loop is empty or lies within EPS of the line.
+    # With no offset on the kept side above EPS the loop is empty or lies
+    # within EPS of the line.
     sign = 1.0 if side == "plus" else -1.0
     s = [sign * (x * ux + y * uy - r) for x, y in verts]
     if max(s) <= EPS:
         return None
-    loop: list[Point] = []
-    src: list[int] = []
-    si = s[0]
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        sj = s[j]
-        if si >= -EPS:
-            loop.append(verts[i])
-            src.append(i)
-        if (si > EPS and sj < -EPS) or (si < -EPS and sj > EPS):
-            t = si / (si - sj)
-            (xi, yi), (xj, yj) = verts[i], verts[j]
-            loop.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-            src.append(-1)
-        si = sj
+    loop, src = _clip_loop(verts, s, EPS)
     return _canonical_child(verts, loop, src) or ConvexPolygon(tuple(loop))
 
 
@@ -431,9 +419,11 @@ def polygon_intersection(poly: ConvexPolygon, window: ConvexPolygon) -> ConvexPo
     wv = window.vertices
     for i in range(len(wv)):
         a, b = wv[i], wv[(i + 1) % len(wv)]
+        # The edge's inward normal has the edge's length, and so does the
+        # tolerance on offsets along it: EPS in length units.
         nx, ny = a[1] - b[1], b[0] - a[0]
         c = a[0] * nx + a[1] * ny
-        loop = _clip_loop(loop, nx, ny, c, keep_ge=True)
+        loop, _ = _clip_loop(loop, [x * nx + y * ny - c for x, y in loop], EPS * math.hypot(nx, ny))
         if not loop:
             return None
     return ConvexPolygon(tuple(loop))
@@ -703,28 +693,26 @@ def piece_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return best
 
 
-def segment_hits_body(
-    a: Point, b: Point, body: ConvexPolygon | CompactSet, tol: float = EPS
-) -> bool:
-    """True iff segment ``ab`` comes within ``tol`` of any piece of the body.
+def segment_hits_body(a: Point, b: Point, body: ConvexPolygon | CompactSet) -> bool:
+    """True iff segment ``ab`` comes within EPS of any piece of the body.
 
     For a point or a segment piece the tolerance is Euclidean. For a proper
-    piece an endpoint counts when it lies within ``tol`` of the inner side
-    of every edge line (``contains_point``), so points up to
-    tol / sin(theta/2) past a vertex of interior angle theta count as well.
-    ``hit_reach`` bounds the region in which this can return True.
+    piece an endpoint counts when it lies within EPS of the inner side of
+    every edge line (``contains_point``), so points up to EPS / sin(theta/2)
+    past a vertex of interior angle theta count as well. ``hit_reach``
+    bounds the region in which this can return True.
     """
     for piece in body.pieces:
-        if contains_point(piece, a, tol) or contains_point(piece, b, tol):
+        if contains_point(piece, a) or contains_point(piece, b):
             return True
         pv = piece.vertices
         n = len(pv)
         if n == 1:
-            if _point_segment_distance(pv[0], a, b) <= tol:
+            if _point_segment_distance(pv[0], a, b) <= EPS:
                 return True
             continue
         for i in range(n if n > 2 else 1):
-            if segment_segment_distance(a, b, pv[i], pv[(i + 1) % n]) <= tol:
+            if segment_segment_distance(a, b, pv[i], pv[(i + 1) % n]) <= EPS:
                 return True
     return False
 
@@ -804,18 +792,22 @@ def scale(poly: ConvexPolygon, s: float) -> ConvexPolygon:
     return ConvexPolygon(tuple((s * x, s * y) for x, y in poly.vertices))
 
 
-def dilate(body: ConvexPolygon | CompactSet, margin: float, n_dirs: int = 16) -> ConvexPolygon:
+# Directions in which ``dilate`` pushes each vertex out.
+DILATE_DIRS = 16
+
+
+def dilate(body: ConvexPolygon | CompactSet, margin: float) -> ConvexPolygon:
     """Convex window containing the body with clearance ~``margin`` everywhere.
 
-    Hull of the vertices pushed outward in ``n_dirs`` directions; the true
-    clearance is at least margin * cos(pi / n_dirs).
+    Hull of the vertices pushed outward in ``DILATE_DIRS`` directions; the
+    true clearance is at least margin * cos(pi / DILATE_DIRS).
     """
     if margin <= 0:
         raise GeometryError("dilation margin must be positive")
     pts: list[Point] = []
     for v in _vertices_of(body):
-        for k in range(n_dirs):
-            t = 2.0 * math.pi * k / n_dirs
+        for k in range(DILATE_DIRS):
+            t = 2.0 * math.pi * k / DILATE_DIRS
             pts.append((v[0] + margin * math.cos(t), v[1] + margin * math.sin(t)))
     return convex_hull(pts)
 

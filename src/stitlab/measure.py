@@ -154,18 +154,17 @@ def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> f
 
 
 def _hitting_law(measure: DirectionalMeasure, poly: ConvexPolygon) -> tuple:
-    """(rate, total, perimeter, atoms): a convex polygon's law, computed once.
+    """(rate, perimeter, atoms): a convex polygon's law, computed once.
 
-    ``rate`` is ``hit_mass``, summed isotropic part first; ``total`` is the
-    same mass as ``sample_hitting`` normalises by, summed atoms first (seeded
-    results depend on both orders). ``atoms`` holds (u, mass, lo, hi) per
-    atom, with (lo, hi) its cut r-range. The perimeter is None when the
-    measure has no isotropic part, which does not need it.
+    ``rate`` is ``hit_mass``, the isotropic part first and then the atoms in
+    order (seeded results depend on this order); ``sample_hitting``
+    normalises by it. ``atoms`` holds (u, mass, lo, hi) per atom, with
+    (lo, hi) its cut r-range. The perimeter is None when the measure has no
+    isotropic part, which does not need it.
     """
     iso = measure.isotropic_mass
     per = perimeter(poly) if iso != 0.0 else None
-    rate = iso_weight = 0.0 if per is None else iso / TWO_PI * per
-    total = 0.0
+    rate = 0.0 if per is None else iso / TWO_PI * per
     verts = poly.vertices
     atoms = []
     # Projecting on -u negates every term exactly (a zero may keep its sign,
@@ -182,8 +181,7 @@ def _hitting_law(measure: DirectionalMeasure, poly: ConvexPolygon) -> tuple:
         mass = w * (hi - lo)
         atoms.append((u, mass, lo, hi))
         rate += mass
-        total += mass
-    return rate, total + iso_weight, per, atoms
+    return rate, per, atoms
 
 
 def separation_rate(measure: DirectionalMeasure, u: Direction) -> float:
@@ -317,7 +315,7 @@ def separating_mass(
     hull_a = hull_of(a)
     hull_b = hull_of(b)
     total = _separating_atoms(
-        measure, _hitting_law(measure, hull_a)[3], _hitting_law(measure, hull_b)[3]
+        measure, _hitting_law(measure, hull_a)[2], _hitting_law(measure, hull_b)[2]
     )
     if measure.isotropic_mass > 0.0:
         total += _separating_isotropic(measure, hull_a, hull_b)
@@ -357,9 +355,9 @@ def _pair_terms(
     hull_a = hull_of(a)
     hull_b = hull_of(b)
     hull = _joint_hull(hull_a, hull_b)
-    mass_a, _, per_a, atoms_a = law_a or _hitting_law(measure, hull_a)
-    mass_b, _, per_b, atoms_b = _hitting_law(measure, hull_b)
-    mass_hull, _, per, _ = _hitting_law(measure, hull)
+    mass_a, per_a, atoms_a = law_a or _hitting_law(measure, hull_a)
+    mass_b, per_b, atoms_b = _hitting_law(measure, hull_b)
+    mass_hull, per, _ = _hitting_law(measure, hull)
     sep = _separating_atoms(measure, atoms_a, atoms_b)
     both = 0.0
     for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b):
@@ -415,11 +413,11 @@ def _sample_line(
     measure: DirectionalMeasure, window: ConvexPolygon, law: tuple, rng: RandomStream
 ) -> Hyperplane:
     """``sample_hitting`` given the window's ``_hitting_law``."""
-    _, total, per, atoms = law
-    if total <= 0.0:
+    rate, per, atoms = law
+    if rate <= 0.0:
         raise MeasureError("degenerate window: no lines hit it under this measure")
 
-    x = rng.random() * total
+    x = rng.random() * rate
     for u, w, lo, hi in atoms:
         if x < w:
             return Hyperplane(rng.uniform(lo, hi), u)

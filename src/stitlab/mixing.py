@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import Estimate, _growth_bound, _missing, default_window, mc_joint
-from .geometry import CompactSet, ConvexPolygon, Direction, hull_of, piece_distance, translate
+from .geometry import EPS, CompactSet, ConvexPolygon, Direction, hull_of, piece_distance, translate
 from .measure import DirectionalMeasure, _hitting_law, _pair_terms, _PairTerms, separation_rate
 from .stit import mix_seed
 
@@ -176,7 +176,7 @@ def sweep(config: SweepConfig) -> list[MixingRow]:
         shift = (h * config.direction.x, h * config.direction.y)
         body_b = translate_body(config.body_b, shift)
         row = {"h_norm": h, "direction": config.direction, "zeta": zeta, "asymptote": 1.0 / (h * zeta)}
-        if piece_distance(hull_a, hull_of(body_b)) <= 1e-9:
+        if piece_distance(hull_a, hull_of(body_b)) <= EPS:
             rows.append(MixingRow(**row, overlap=True))
             continue
         pair = _pair_terms(measure, config.body_a, body_b, law_a)

@@ -24,7 +24,6 @@ from stitlab.geometry import (
     contains_point,
     convex_hull,
     _canonical_loop,
-    _clip_loop,
     _perp_distance,
     diameter,
     dilate,
@@ -576,9 +575,32 @@ class TestCanonicalLoopMatchesReference:
         assert repr(perimeter(poly)) == repr(expected)
 
 
+def reference_clip_loop(verts, nx, ny, c, keep_ge):
+    """Clip a convex vertex loop against <x,n> >= c (or <= c).
+
+    Vertices within 1e-9 of the line are kept on both sides.
+    """
+    sign = 1.0 if keep_ge else -1.0
+    s = [sign * (x * nx + y * ny - c) for x, y in verts]
+    n = len(verts)
+    if n == 1:
+        return [verts[0]] if s[0] >= -1e-9 else []
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        si, sj = s[i], s[j]
+        if si >= -1e-9:
+            out.append(verts[i])
+        if (si > 1e-9 and sj < -1e-9) or (si < -1e-9 and sj > 1e-9):
+            t = si / (si - sj)
+            vi, vj = verts[i], verts[j]
+            out.append((vi[0] + t * (vj[0] - vi[0]), vi[1] + t * (vj[1] - vi[1])))
+    return out
+
+
 def reference_clip(poly, plane, side):
-    """clip as one _clip_loop followed by the full canonicalisation."""
-    loop = _clip_loop(poly.vertices, plane.u.x, plane.u.y, plane.r, side == "plus")
+    """clip as one reference_clip_loop followed by the full canonicalisation."""
+    loop = reference_clip_loop(poly.vertices, plane.u.x, plane.u.y, plane.r, side == "plus")
     if all(abs(plane.u.dot(p) - plane.r) <= 1e-9 for p in loop):
         return None
     return ConvexPolygon(tuple(loop))

@@ -40,6 +40,7 @@ from stitlab.geometry import (
     polygon_intersection,
     polygon_to_json,
     regular_polygon,
+    rotate,
     segment_hits_body,
     translate,
 )
@@ -292,6 +293,16 @@ class TestRestrict:
         t = simulate(params(box(0, 0, 2, 2), 0.5, iso, 39))
         with pytest.raises(GeometryError, match="not contained"):
             restrict(t, box(1.0, 1.0, 3.0, 3.0))
+
+    def test_small_window_clips_at_length_tolerance(self, iso):
+        # Edges 2e-5 long: a tolerance of EPS in the units of unnormalised
+        # edge normals reached 5e-5 past them and kept cells four times the
+        # sub-window's area.
+        t = rescale(simulate(params(box(0, 0, 4, 4), 2.0, iso, 5)), 1e-5)
+        w2 = box(1e-5, 1e-5, 3e-5, 3e-5)
+        r = restrict(t, w2)
+        assert abs(sum(area(c.polygon) for c in r.cells) - area(w2)) <= 1e-4 * area(w2)
+        assert interior_clearance(w2, [v for c in r.cells for v in c.polygon.vertices]) >= -EPS
 
 
 class TestNest:
@@ -801,6 +812,90 @@ class TestPinnedOutputs:
         assert [query.first_hit(0.8, QUERY_MEASURES["axis"], mix_seed(5, i)) for i in range(6)] == [
             math.inf, 0.16465075539955132, 0.5440365999506348, math.inf, 0.6371881575637856, math.inf,
         ]
+
+
+def restrict_subwindows(tess):
+    """Sub-windows with edges 1 to 10 units long: four about the window's
+    centroid, and, at two live-cell vertices, three boxes and a tilted
+    triangle with an edge through the vertex or 5e-9 to either side of it.
+
+    The vertex lies at least one unit from the sub-window's corners: a cell
+    edge through a vertex 5e-9 from a corner crosses the other edge there,
+    within any clip tolerance of it.
+    """
+    cx, cy = centroid(tess.window)
+    out = [
+        box(cx - 0.5, cy - 0.5, cx + 0.5, cy + 0.5),
+        box(cx - 5.0, cy - 1.0, cx + 5.0, cy + 1.0),
+        rotate(box(cx - 3.0, cy - 3.0, cx + 3.0, cy + 3.0), 0.3, (cx, cy)),
+        ConvexPolygon(((cx - 4.0, cy - 2.0), (cx + 3.5, cy - 2.5), (cx, cy + 4.0))),
+    ]
+    # Vertices 4.6 inside the window: each sub-window about one fits.
+    verts = [
+        v for c in tess.live_cells for v in c.polygon.vertices if interior_clearance(tess.window, (v,)) > 4.6
+    ]
+    tx, ty = math.cos(0.7), math.sin(0.7)
+    for ax, ay in ((cx, cy), (cx - 1.0, cy + 1.0)) if verts else ():
+        vx, vy = min(verts, key=lambda v: math.hypot(v[0] - ax, v[1] - ay))
+        for d in (0.0, 5e-9, -5e-9):
+            x, y = vx + d, vy + d
+            px, py = vx - d * ty, vy + d * tx
+            out += [
+                box(x - 1.0, y, x + 2.0, y + 2.0),
+                box(x - 1.5, y - 4.0, x + 2.5, y),
+                box(x, y - 1.5, x + 3.0, y + 1.0),
+                ConvexPolygon((
+                    (px - 2.0 * tx, py - 2.0 * ty),
+                    (px + 3.0 * tx, py + 3.0 * ty),
+                    (px + 0.5 * tx + 3.0 * ty, py + 0.5 * ty - 3.0 * tx),
+                )),
+            ]
+    return out
+
+
+class TestPinnedRestrict:
+    """``restrict`` outputs recorded before ``polygon_intersection`` shared
+    ``clip``'s loop: cells cut by sub-window edges that pass through their
+    vertices or 5e-9 beside them, which no clip tolerance reaches. A
+    sub-window for which ``restrict`` raises is recorded by its error."""
+
+    WINDOWS = {
+        "square": box(0.0, 0.0, 12.0, 12.0),
+        "hexagon": regular_polygon(6, 8.0, (1.0, 2.0)),
+        "pentagon": regular_polygon(5, 9.0, (-2.0, 3.0)),
+    }
+    # Time parameters giving about a hundred cells per run.
+    TIMES = {"isotropic": 0.5, "axis": 1.5, "mixed": 0.5}
+
+    @pytest.mark.parametrize(
+        "window_name,measure_name,cells,digest",
+        [
+            ("square", "isotropic", 2638, "31a05cb396070b24b97cfd515b06d6eee345d776d2eed4d5eca346b409ba754a"),
+            ("square", "axis", 1997, "8c5039aca23ee680a976ba395b1ec1579da765ed1f20be7ca0c3a725fb3c0c7c"),
+            ("square", "mixed", 1643, "1edfbf733163099ab9694a2f17149ee3ca129b24f083981427600f6192a3d71b"),
+            ("hexagon", "isotropic", 2800, "66b371d66992f80ac79c7ced23ab06dae9e1357f4fbe3ca2952b24a931072431"),
+            ("hexagon", "axis", 2039, "322c7544e937049676123b951f388d88397df4fcc25cdf553a1cf0c758a5638f"),
+            ("hexagon", "mixed", 2002, "678e5f3f5cf3d6186d64f4cfefd864e8d1de1d57ac51635605077e89dd0a1dee"),
+            ("pentagon", "isotropic", 2898, "77873f652481b8292d2e591cd5addafa3a4dbc83eee644502a01d8c717915c2f"),
+            ("pentagon", "axis", 1964, "26c53124ae2bb6eaed1ba0d68ea6cb204b5fb6049097ac59c63420719438be9a"),
+            ("pentagon", "mixed", 1459, "d924eab6dda0d2b677d6e75664e7dea24c15dec20b411e67af381f3796b4d688"),
+        ],
+    )
+    def test_restrict_json(self, window_name, measure_name, cells, digest):
+        measure = QUERY_MEASURES[measure_name]
+        h = hashlib.sha256()
+        total = 0
+        for seed in range(5):
+            tess = simulate(params(self.WINDOWS[window_name], self.TIMES[measure_name], measure, seed))
+            for sub in restrict_subwindows(tess):
+                try:
+                    r = restrict(tess, sub)
+                except GeometryError as err:
+                    h.update(f"GeometryError({err})".encode())
+                    continue
+                total += len(r.cells)
+                h.update(json.dumps(tessellation_to_json(r), sort_keys=True).encode())
+        assert (total, h.hexdigest()) == (cells, digest)
 
 
 class TestPinnedIterateReports:
