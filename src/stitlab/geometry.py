@@ -812,6 +812,13 @@ def dilate(body: ConvexPolygon | CompactSet, margin: float) -> ConvexPolygon:
     return convex_hull(pts)
 
 
+def _bounds(verts: Sequence[Point]) -> tuple[float, float, float, float]:
+    """(x0, x1, y0, y1): the bounding box of the vertices."""
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def hull_of(body: ConvexPolygon | CompactSet) -> ConvexPolygon:
     """Convex hull of all pieces."""
     if len(body.pieces) == 1:

@@ -167,17 +167,8 @@ def _hitting_law(measure: DirectionalMeasure, poly: ConvexPolygon) -> tuple:
     rate = 0.0 if per is None else iso / TWO_PI * per
     verts = poly.vertices
     atoms = []
-    # Projecting on -u negates every term exactly (a zero may keep its sign,
-    # which _cut drops), so an atom opposite the one before it reuses that
-    # projection, (lo, hi) -> (-hi, -lo).
-    vx = vy = lo_u = hi_u = math.nan
     for u, w in measure.atoms:
-        if u.x == -vx and u.y == -vy:
-            lo_u, hi_u = -hi_u, -lo_u
-        else:
-            lo_u, hi_u = projection_bounds(verts, u.x, u.y)
-        vx, vy = u.x, u.y
-        lo, hi = _cut(lo_u, hi_u)
+        lo, hi = _cut(*projection_bounds(verts, u.x, u.y))
         mass = w * (hi - lo)
         atoms.append((u, mass, lo, hi))
         rate += mass

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import Estimate, _growth_bound, _missing, default_window, mc_joint
-from .geometry import EPS, CompactSet, ConvexPolygon, Direction, hull_of, piece_distance, translate
+from .geometry import EPS, CompactSet, ConvexPolygon, Direction, _bounds, hull_of, piece_distance, translate
 from .measure import DirectionalMeasure, _hitting_law, _pair_terms, _PairTerms, separation_rate
 from .stit import mix_seed
 
@@ -165,18 +165,24 @@ def sweep(config: SweepConfig) -> list[MixingRow]:
     per-pair functions do. Its ``ratio_minus_one`` is
     (c* - sep exp(-t d)) / d, whose full-covariance counterpart is
     c* (1 - exp(-t d)) / d. Rows where the translated body overlaps the fixed
-    one are flagged and carry no probabilities.
+    one are flagged and carry no probabilities: the hulls lie within EPS of
+    each other (``piece_distance``). Hulls whose bounding boxes are more than
+    EPS apart are farther apart than that, so they skip the distance.
     """
     measure, time = config.measure, config.time
     zeta = separation_rate(measure, config.direction)
     hull_a = hull_of(config.body_a)
     law_a = _hitting_law(measure, hull_a)
+    ax0, ax1, ay0, ay1 = _bounds(hull_a.vertices)
     rows: list[MixingRow] = []
     for index, h in enumerate(config.distances):
         shift = (h * config.direction.x, h * config.direction.y)
         body_b = translate_body(config.body_b, shift)
         row = {"h_norm": h, "direction": config.direction, "zeta": zeta, "asymptote": 1.0 / (h * zeta)}
-        if piece_distance(hull_a, hull_of(body_b)) <= EPS:
+        hull_b = hull_of(body_b)
+        bx0, bx1, by0, by1 = _bounds(hull_b.vertices)
+        apart = max(bx0 - ax1, ax0 - bx1, by0 - ay1, ay0 - by1) > EPS
+        if not apart and piece_distance(hull_a, hull_b) <= EPS:
             rows.append(MixingRow(**row, overlap=True))
             continue
         pair = _pair_terms(measure, config.body_a, body_b, law_a)

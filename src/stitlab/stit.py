@@ -23,6 +23,7 @@ from .geometry import (
     EPS,
     GeometryError,
     Point,
+    _bounds,
     area,
     chord,
     clip,
@@ -176,12 +177,13 @@ def _divisions(
     the time parameter. With ``near`` given, a child is spawned only if
     ``near(child polygon)`` holds; a child left out takes its whole subtree
     with it, because descendants and their chords lie inside it, and every
-    kept cell still gets exactly the draws it gets in the full run.
+    kept cell still gets exactly the draws it gets in the full run. The
+    callers check the measure (``validate_measure``): ``simulate`` once per
+    run, ``HitQuery`` once per measure.
     """
     window = params.window
     if len(window.vertices) < 3 or area(window) <= 0.0:
         raise GeometryError("simulation window must have positive area")
-    validate_measure(params.measure)
     measure = params.measure
     horizon = params.time
     # cell_stream(seed, label), with the seed folded in once per run.
@@ -231,6 +233,7 @@ def simulate(params: SimulationParams) -> Tessellation:
     ``cells`` holds the cells alive at the time parameter, sorted by label;
     a cell's parent is its label halved.
     """
+    validate_measure(params.measure)
     live: list = []
     edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, live) if cut is not None]
     cells = tuple(
@@ -418,12 +421,6 @@ class QueryBody:
             yield e
 
 
-def _bounds(verts: Sequence[Point]) -> tuple[float, float, float, float]:
-    xs = [x for x, _ in verts]
-    ys = [y for _, y in verts]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def _bounding_circle(verts: Sequence[Point]) -> tuple[float, float, float]:
     """(cx, cy, radius): the vertex mean and the largest distance from it."""
     cx = sum([x for x, _ in verts]) / len(verts)
@@ -450,76 +447,37 @@ def hits_internal(tess: Tessellation, body: ConvexPolygon | CompactSet) -> bool:
     return any(segment_hits_body(e.a, e.b, body) for e in edges)
 
 
-# A query-driven run expands no cell that lies farther than this from the
-# reach of every query piece, the region outside which ``segment_hits_body``
-# cannot count a hit. It must exceed the rounding of clipped and chord
-# coordinates (a few ulps of the window's), which it does by orders of
-# magnitude.
+# A query-driven run expands no cell whose bounding box lies farther than
+# this from the reach box of every query piece; a piece's reach is the
+# region outside which ``segment_hits_body`` cannot count a hit. It must
+# exceed the rounding of clipped and chord coordinates (a few ulps of the
+# window's), which it does by orders of magnitude.
 PRUNE_MARGIN = 1e-6
 
 
-def _outward_normals(verts: Sequence[Point], margin: float) -> list[tuple[float, float, float]]:
-    """(nx, ny, reach + margin) per edge of a counter-clockwise convex chain.
-
-    (nx, ny) is the unit outward normal and the chain lies in the half-plane
-    nx * x + ny * y <= reach. A segment gets both of its normals, a point none.
-    """
-    n = len(verts)
-    out = []
-    for i in range(n if n > 1 else 0):
-        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
-        ln = math.hypot(bx - ax, by - ay)
-        if ln > 0.0:
-            nx, ny = (by - ay) / ln, (ax - bx) / ln
-            out.append((nx, ny, nx * ax + ny * ay + margin))
-    return out
-
-
 def _near_test(queries: Sequence[QueryBody]) -> Callable[[ConvexPolygon], bool] | None:
-    """Predicate false only for polygons provably farther than PRUNE_MARGIN from every reach.
+    """Predicate true iff the polygon's bounding box meets some piece's reach box.
 
-    A piece's reach polygon counts as far when one of these separates it
-    from the polygon by more than the margin: the bounding boxes; an edge
-    line of the polygon against the reach's bounding circle (centred on its
-    vertex mean); an edge line of the reach; an edge line of the polygon
-    against the reach's vertices. Anything else is kept, since a kept cell
-    only costs time; a polygon containing a reach's centre is kept without
-    further tests. None (prune nothing) when some reach is unbounded.
+    Each piece's reach box is the bounding box of its ``hit_reach`` widened
+    by PRUNE_MARGIN on every side. A polygon whose box misses all of them
+    lies farther than the margin from every reach, so no chord inside it
+    can meet a body; any other polygon is kept, since a kept cell only costs
+    time. None (prune nothing) when some reach is unbounded.
     """
     m = PRUNE_MARGIN
-    pieces = []
+    boxes = []
     for query in queries:
         for verts in query.reaches:
             if verts is None:
                 return None
             x0, x1, y0, y1 = _bounds(verts)
-            cx, cy, radius = _bounding_circle(verts)
-            bounds = (x0 - m, x1 + m, y0 - m, y1 + m)
-            pieces.append((bounds, cx, cy, radius, verts, _outward_normals(verts, m)))
+            boxes.append((x0 - m, x1 + m, y0 - m, y1 + m))
 
     def near(poly: ConvexPolygon) -> bool:
-        verts = poly.vertices
-        xs = [x for x, _ in verts]
-        ys = [y for _, y in verts]
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-        own = None
-        for (bx0, bx1, by0, by1), cx, cy, radius, pverts, axes in pieces:
-            if x1 < bx0 or x0 > bx1 or y1 < by0 or y0 > by1:
-                continue
-            if own is None:
-                own = _outward_normals(verts, m)
-            if own:
-                # Signed clearance of the reach's centre beyond each edge line.
-                gap = max([nx * cx + ny * cy - reach for nx, ny, reach in own])
-                if gap > radius:
-                    continue
-                if gap <= -m:
-                    return True
-            if any(min([nx * x + ny * y for x, y in verts]) > reach for nx, ny, reach in axes):
-                continue
-            if any(min([nx * x + ny * y for x, y in pverts]) > reach for nx, ny, reach in own):
-                continue
-            return True
+        x0, x1, y0, y1 = _bounds(poly.vertices)
+        for bx0, bx1, by0, by1 in boxes:
+            if x1 >= bx0 and x0 <= bx1 and y1 >= by0 and y0 <= by1:
+                return True
         return False
 
     return near
@@ -529,9 +487,10 @@ class HitQuery:
     """Query bodies prepared once for query-driven runs in one window.
 
     Construction checks that every body lies in the window's interior and
-    builds each body's reach box and the pruning test, so a loop over
-    seeds does none of this per replicate. The window's hitting law is kept
-    for the last measure asked, so the first cell of every replicate reuses it.
+    builds each piece's reach box and the pruning test (``_near_test``), so
+    a loop over seeds does none of this per replicate. The window's hitting
+    law is kept for the last measure asked, and the measure is validated
+    only when that law is computed, so every replicate reuses both.
     """
 
     def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
@@ -545,6 +504,7 @@ class HitQuery:
 
     def _root_law(self, measure: DirectionalMeasure) -> tuple:
         if self._root[0] is not measure:
+            validate_measure(measure)
             self._root = (measure, _hitting_law(measure, self.window))
         return self._root[1]
 
@@ -555,10 +515,11 @@ class HitQuery:
         bodies)`` with ``t = simulate(SimulationParams(window, time, measure,
         seed))``, without building the tessellation: a chord lies inside its
         cell and every cell's draws are keyed by (seed, label) alone, so the
-        run expands only cells within PRUNE_MARGIN of a body's reach, and
-        returns at the first event whose chord meets one (events pop in time
-        order). Consequently ``EVENT_CAP`` counts expanded events only, and
-        cells that are never expanded cannot fail.
+        run expands only cells whose bounding box meets a piece's reach box
+        widened by PRUNE_MARGIN (``_near_test``), and returns at the first
+        event whose chord meets a body (events pop in time order).
+        Consequently ``EVENT_CAP`` counts expanded events only, and cells
+        that are never expanded cannot fail.
         """
         params = SimulationParams(self.window, time, measure, seed)
         return self._first_hit(params, [], self._root_law(measure))

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_check
@@ -35,6 +35,7 @@ from stitlab.geometry import (
     contains_point,
     convex_hull,
     dilate,
+    hit_reach,
     hull_of,
     interior_clearance,
     polygon_intersection,
@@ -550,6 +551,45 @@ class TestFirstHitNestedSeedGrid:
             HitQuery(default_window(square), [square]).first_hit_nested(0.5, -0.1, iso, 1, 2)
 
 
+class TestQueryTraffic:
+    """Division events that query-driven runs expand at fixed seeds, counted
+    on the division loop's calls (``TestEventCalls.record``). A pruning test
+    that keeps fewer cells lowers these counts, and one that keeps more
+    raises them. Under the axis measure every cell is a box, and so is each
+    reach here, so there the box comparison is exact."""
+
+    SEEDS = 100
+    EVENTS = {
+        ("segment", "isotropic"): 114,
+        ("square", "isotropic"): 119,
+        ("64-gon", "isotropic"): 127,
+        ("square", "mixed"): 122,
+        ("square", "axis"): 93,
+        ("pair h=5", "axis"): 278,
+        ("pair h=25", "axis"): 784,
+        ("pair h=5", "isotropic"): 491,
+        ("pair h=25", "isotropic"): 1270,
+    }
+    NESTED_EVENTS = 204
+
+    @pytest.mark.parametrize("case,measure_name", sorted(EVENTS))
+    def test_first_hit(self, case, measure_name, monkeypatch):
+        bodies = QUERY_BODIES[case]
+        query = HitQuery(query_window(bodies, "default"), bodies)
+        calls = TestEventCalls.record(monkeypatch)
+        for seed in range(self.SEEDS):
+            query.first_hit(1.0, QUERY_MEASURES[measure_name], mix_seed(9600, seed))
+        assert TestEventCalls.events(calls)[0] == self.EVENTS[case, measure_name]
+
+    def test_first_hit_nested(self, iso, monkeypatch):
+        # The capacity-small benchmark's ``iterate`` configuration.
+        query = HitQuery(box(-0.5, -0.5, 1.5, 1.5), QUERY_BODIES["square"])
+        calls = TestEventCalls.record(monkeypatch)
+        for seed in range(self.SEEDS):
+            query.first_hit_nested(0.5, 0.5, iso, mix_seed(9700, 2 * seed), mix_seed(9700, 2 * seed + 1))
+        assert TestEventCalls.events(calls)[0] == self.NESTED_EVENTS
+
+
 # ---------------------------------------------------------------------------
 # Prepared query bodies: reach-box prefilter and pruning against the reach
 
@@ -685,6 +725,63 @@ class TestPrefilterMatchesUnfilteredScan:
         if near is not None:
             assert near(box(p[0], p[1], p[0] + cell_size, p[1] + cell_size))
             assert near(box(p[0] - cell_size, p[1] - cell_size, p[0], p[1]))
+
+
+def reference_near(body, window, cell):
+    """Whether the cell's bounding box meets some piece's ``hit_reach`` box widened by PRUNE_MARGIN."""
+    scale = max(abs(c) for v in window.vertices for c in v)
+    m = stit_mod.PRUNE_MARGIN
+    xs, ys = [x for x, _ in cell.vertices], [y for _, y in cell.vertices]
+    for piece in body.pieces:
+        reach = hit_reach(piece, scale)
+        rx, ry = [x for x, _ in reach], [y for _, y in reach]
+        if (max(xs) >= min(rx) - m and min(xs) <= max(rx) + m
+                and max(ys) >= min(ry) - m and min(ys) <= max(ry) + m):
+            return True
+    return False
+
+
+@st.composite
+def cells_near(draw, body):
+    """A convex cell around a point near a vertex of one of the body's pieces."""
+    piece = draw(st.sampled_from(body.pieces))
+    ax, ay = draw(st.sampled_from(piece.vertices))
+    gap = draw(st.sampled_from([1e-7, 1e-6, 2e-6, 1e-3, 0.3, 2.0]))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    cx, cy = ax + gap * math.cos(phi), ay + gap * math.sin(phi)
+    size = draw(st.sampled_from([1e-7, 1e-3, 0.3, 1.0]))
+    angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=6))
+    cell = convex_hull([(cx + size * math.cos(t), cy + size * math.sin(t)) for t in angles])
+    assume(len(cell.vertices) >= 3)
+    return cell
+
+
+class TestNearTest:
+    """``_near_test`` keeps a cell iff its bounding box meets some piece's reach box."""
+
+    WINDOW = box(-3.0, -3.0, 9.0, 9.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reach_boxes(self, data):
+        body = piece_at(data.draw(KINDS), data.draw(st.floats(1.0, 2.5)), data.draw(st.floats(1.0, 2.5)),
+                        data.draw(st.sampled_from([1e-6, 1e-3, 0.3, 1.0])), data.draw(st.floats(0.0, 2.0 * math.pi)))
+        if data.draw(st.booleans()):
+            other = piece_at(data.draw(KINDS), data.draw(st.floats(3.5, 4.5)), data.draw(st.floats(1.0, 4.5)),
+                             data.draw(st.sampled_from([1e-6, 1e-3, 0.3, 1.0])), data.draw(st.floats(0.0, 2.0 * math.pi)))
+            body = CompactSet.of(body, other)
+        near = _near_test([QueryBody(body, self.WINDOW)])
+        assume(near is not None)
+        cell = data.draw(cells_near(body))
+        assert near(cell) == reference_near(body, self.WINDOW, cell)
+
+    def test_keeps_cell_beyond_a_diagonal(self):
+        # The triangle's bounding box meets the square's, though its long
+        # edge line x + y = 2.4 separates the two.
+        square, window = box(0.0, 0.0, 1.0, 1.0), box(-1.0, -1.0, 2.0, 2.0)
+        cell = ConvexPolygon(((0.9, 1.5), (1.5, 0.9), (1.5, 1.5)))
+        assert reference_near(square, window, cell)
+        assert _near_test([QueryBody(square, window)])(cell)
 
 
 class TestEstimatorsMatchFullSimulation:
