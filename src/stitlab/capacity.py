@@ -57,7 +57,7 @@ def pool(estimates: Sequence[Estimate]) -> Estimate:
 
 def _missing(mass: float, time: float) -> float:
     """exp(-t * mass): the missing probability of a body of that hitting mass."""
-    if time < 0.0:
+    if not (time >= 0.0):
         raise ValueError("time must be >= 0")
     return math.exp(-time * mass)
 

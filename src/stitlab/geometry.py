@@ -164,13 +164,17 @@ def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
 
     # One scan for the distance of each vertex q = pts[i] from the chord of
     # its neighbours p, r and the turn p -> q -> r. The first vertex within
-    # EPS of its chord is stripped and the scan restarts; with none left,
-    # a clockwise turn means the loop is not convex.
+    # EPS of its chord is stripped; with none left, a clockwise turn means
+    # the loop is not convex. A strip gives new neighbours only to the
+    # vertices either side of it, so the scan resumes at the one before.
+    # It restarts when the stripped vertex was the first or the last, or
+    # when it has seen a clockwise turn, which may be the one before's.
+    start = 0
+    clockwise = False
     while True:
-        clockwise = False
-        px, py = pts[-1]
-        qx, qy = pts[0]
-        for i, (rx, ry) in enumerate(pts[1:] + pts[:1]):
+        px, py = pts[start - 1]
+        qx, qy = pts[start]
+        for i, (rx, ry) in enumerate(pts[start + 1 :] + pts[:1], start):
             ex, ey = rx - px, ry - py
             ln = math.hypot(ex, ey)
             if ln == 0.0:
@@ -189,6 +193,11 @@ def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
         pts.pop(i)
         if len(pts) < 3:
             return tuple(pts)
+        if clockwise or not 0 < i < len(pts):
+            start = 0
+            clockwise = False
+        else:
+            start = i - 1
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -224,10 +225,53 @@ def _separating_atoms(measure: DirectionalMeasure, atoms_a: list, atoms_b: list)
     )
 
 
+# A vertex's (y, x): the lowest vertex is the first in this order, the highest the last.
+_YX = itemgetter(1, 0)
+
+
+def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
+    """Hull of {p - q : p in a, q in b}, the Minkowski sum of a and -b, in O(n + m).
+
+    An edge merge: walk a's edges from its lowest vertex and -b's from its
+    lowest (b's highest) in angular order, advancing the edge that turns
+    first by the sign of their cross product (both when parallel), and
+    emit the difference of the current vertices at each step. The at most
+    n + m points include every vertex of the exact difference hull, and
+    ``convex_hull`` picks the loop's start, orientation and collinear
+    points from them as it would from all of them. Points and segments are
+    loops with zero-length or doubled-back edges, so they take the same walk.
+    """
+    av, bv = a.vertices, b.vertices
+    n, m = len(av), len(bv)
+    k = av.index(min(av, key=_YX))
+    av = av[k:] + av[: k + 1]
+    k = bv.index(max(bv, key=_YX))
+    bv = bv[k:] + bv[: k + 1]
+    pts = []
+    i = j = 0
+    while i < n or j < m:
+        (px, py), (qx, qy) = av[i], bv[j]
+        pts.append((px - qx, py - qy))
+        if i == n:
+            j += 1
+        elif j == m:
+            i += 1
+        else:
+            # a's edge times -b's edge (q - q_next): positive when a's turns first.
+            cross = (av[i + 1][0] - px) * (qy - bv[j + 1][1]) - (av[i + 1][1] - py) * (qx - bv[j + 1][0])
+            if cross > 0.0:
+                i += 1
+            elif cross < 0.0:
+                j += 1
+            else:
+                i += 1
+                j += 1
+    return convex_hull(pts)
+
+
 def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: ConvexPolygon) -> float:
     """The isotropic part of ``separating_mass``, from the hull of {p - q : p in a, q in b}."""
-    diff = convex_hull([(p[0] - q[0], p[1] - q[1]) for p in a.vertices for q in b.vertices])
-    return measure.isotropic_mass / TWO_PI * _negative_support_integral(diff)
+    return measure.isotropic_mass / TWO_PI * _negative_support_integral(_difference_hull(a, b))
 
 
 def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float, float, float]]:
@@ -333,9 +377,11 @@ def _pair_terms(
     a: ConvexPolygon | CompactSet,
     b: ConvexPolygon | CompactSet,
     law_a: tuple | None = None,
+    hulls: tuple[ConvexPolygon, ConvexPolygon] | None = None,
 ) -> _PairTerms:
     """A pair's terms from one hitting law per hull (``law_a``, if given, is a's).
 
+    ``hulls``, if given, are ``hull_of(a)`` and ``hull_of(b)``, already built.
     Atom lengths come from the laws' cut r-ranges. The isotropic part of c*
     is mass(a) + mass(b) - (mass(hull) - separating mass) from the laws'
     perimeters, with rounding error about 1e-16 times the hull's mass. Sums
@@ -343,8 +389,7 @@ def _pair_terms(
     """
     if not (a.connected and b.connected):
         raise MeasureError("closed forms of two bodies require connected bodies")
-    hull_a = hull_of(a)
-    hull_b = hull_of(b)
+    hull_a, hull_b = hulls or (hull_of(a), hull_of(b))
     hull = _joint_hull(hull_a, hull_b)
     mass_a, per_a, atoms_a = law_a or _hitting_law(measure, hull_a)
     mass_b, per_b, atoms_b = _hitting_law(measure, hull_b)

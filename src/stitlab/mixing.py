@@ -153,21 +153,22 @@ class SweepConfig:
             raise ValueError("sweep distances must be finite and > 0")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
             raise ValueError("sweep distances must be strictly increasing")
-        if self.time <= 0.0:
+        if not (self.time > 0.0):
             raise ValueError("sweep time parameter must be positive")
 
 
 def sweep(config: SweepConfig) -> list[MixingRow]:
     """Evaluate the closed forms (and optional Monte Carlo) over the sweep.
 
-    Each row builds one pair record (``measure._pair_terms``), reusing body
-    A's hitting law, and takes every closed-form field from it, as the
-    per-pair functions do. Its ``ratio_minus_one`` is
-    (c* - sep exp(-t d)) / d, whose full-covariance counterpart is
-    c* (1 - exp(-t d)) / d. Rows where the translated body overlaps the fixed
-    one are flagged and carry no probabilities: the hulls lie within EPS of
-    each other (``piece_distance``). Hulls whose bounding boxes are more than
-    EPS apart are farther apart than that, so they skip the distance.
+    Each row builds one pair record (``measure._pair_terms``) from body A's
+    hitting law and the row's two hulls, each built once, and takes every
+    closed-form field from it, as the per-pair functions do. Its
+    ``ratio_minus_one`` is (c* - sep exp(-t d)) / d, whose full-covariance
+    counterpart is c* (1 - exp(-t d)) / d. Rows where the translated body
+    overlaps the fixed one are flagged and carry no probabilities: the hulls
+    lie within EPS of each other (``piece_distance``). Hulls whose bounding
+    boxes are more than EPS apart are farther apart than that, so they skip
+    the distance.
     """
     measure, time = config.measure, config.time
     zeta = separation_rate(measure, config.direction)
@@ -185,7 +186,7 @@ def sweep(config: SweepConfig) -> list[MixingRow]:
         if not apart and piece_distance(hull_a, hull_b) <= EPS:
             rows.append(MixingRow(**row, overlap=True))
             continue
-        pair = _pair_terms(measure, config.body_a, body_b, law_a)
+        pair = _pair_terms(measure, config.body_a, body_b, law_a, (hull_a, hull_b))
         mc = None
         if config.mc_n is not None:
             mc = mc_joint(

@@ -25,6 +25,7 @@ from stitlab.geometry import (
     translate,
 )
 from stitlab.measure import MeasureError, hit_mass
+from stitlab.mixing import closed_form_ratio_minus_one, joint_missing_closed_form
 
 
 class TestAnalyticMissing:
@@ -37,6 +38,17 @@ class TestAnalyticMissing:
 
     def test_unit_square_isotropic(self):
         assert_check("capacity.closed_forms")
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_time_non_negative(self, iso, unit_square, bad):
+        far = translate(unit_square, (3.0, 0.0))
+        for closed_form in (
+            lambda: missing_probability(unit_square, bad, iso),
+            lambda: joint_missing_closed_form(unit_square, far, bad, iso),
+            lambda: closed_form_ratio_minus_one(unit_square, far, bad, iso),
+        ):
+            with pytest.raises(ValueError, match="time must be >= 0"):
+                closed_form()
 
     def test_disconnected_rejected(self, iso):
         k = CompactSet.of(box(0, 0, 1, 1), box(3, 0, 4, 1))

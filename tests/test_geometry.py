@@ -422,7 +422,11 @@ def _dist(p, q):
 
 
 def reference_canonical_loop(points):
-    """The multi-pass canonicalisation plus the separate convexity check."""
+    """The multi-pass canonicalisation plus the separate convexity check.
+
+    Its strip loop restarts the scan from the first vertex after every
+    strip; ``_canonical_loop`` resumes it next to the stripped vertex.
+    """
     pts = []
     for p in points:
         q = (float(p[0]), float(p[1]))
@@ -532,6 +536,60 @@ def near_collinear_loops(draw):
     return pts + pts[-2:0:-1] if draw(st.booleans()) else pts
 
 
+@st.composite
+def loops_with_inserted_vertices(draw):
+    """Convex loops with vertices inserted on or near their edges.
+
+    Each inserted vertex lies 0, 5e-10, 2e-9 or 3e-9 off its edge, outside
+    or inside, so it is stripped (within EPS) or kept. The loop is then
+    rotated (an inserted vertex first or last, or anywhere), reversed, or
+    made not convex by a dent or by swapping two neighbours.
+    """
+    n = draw(st.integers(3, 8))
+    rx = draw(st.floats(0.5, 20.0))
+    ry = draw(st.floats(0.5, 20.0))
+    c = draw(offset)
+    cx, cy = c + draw(coordinate), c + draw(coordinate)
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    pts = [(cx + rx * math.cos(phase + 2.0 * math.pi * k / n), cy + ry * math.sin(phase + 2.0 * math.pi * k / n))
+           for k in range(n)]
+    inserts = sorted(
+        (draw(st.integers(0, n - 1)), draw(st.floats(0.01, 0.99)), draw(st.sampled_from([0.0, 5e-10, 2e-9, 3e-9])),
+         draw(st.sampled_from([-1.0, 1.0])))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    loop, inserted = [], []
+    for k in range(n):
+        loop.append(pts[k])
+        (ax, ay), (bx, by) = pts[k], pts[(k + 1) % n]
+        ln = math.hypot(bx - ax, by - ay)
+        for _, t, off, side in (ins for ins in inserts if ins[0] == k):
+            d = side * off / ln
+            inserted.append(len(loop))
+            loop.append((ax + t * (bx - ax) + d * (by - ay), ay + t * (by - ay) - d * (bx - ax)))
+    kind = draw(st.sampled_from(["first", "last", "rotated", "reversed", "dent", "swap"]))
+    if kind == "first":
+        k = draw(st.sampled_from(inserted))
+        loop = loop[k:] + loop[:k]
+    elif kind == "last":
+        k = draw(st.sampled_from(inserted)) + 1
+        loop = loop[k:] + loop[:k]
+    elif kind == "rotated":
+        k = draw(st.integers(0, len(loop) - 1))
+        loop = loop[k:] + loop[:k]
+    elif kind == "reversed":
+        loop = loop[::-1]
+    elif kind == "dent":
+        k = draw(st.integers(0, len(loop) - 1))
+        x, y = loop[k]
+        f = draw(st.sampled_from([0.5, 0.999]))
+        loop[k] = (cx + f * (x - cx), cy + f * (y - cy))
+    else:
+        k = draw(st.integers(0, len(loop) - 1))
+        loop[k], loop[k - 1] = loop[k - 1], loop[k]
+    return loop
+
+
 class TestCanonicalLoopMatchesReference:
     """Same vertices, bit for bit, and the same error as the multi-pass kernel."""
 
@@ -549,6 +607,20 @@ class TestCanonicalLoopMatchesReference:
     @given(near_collinear_loops())
     def test_near_collinear_slivers(self, pts):
         assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+
+    @settings(max_examples=500, deadline=None)
+    @given(loops_with_inserted_vertices())
+    def test_resumed_strips_match_restarted(self, pts):
+        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+
+    def test_strip_of_last_vertex_rechecks_first(self):
+        # Two vertices near the triangle's closing edge, one first and one
+        # last in the loop. The first is 1.06e-9 from its chord, the last
+        # 4.5e-10; stripping the last brings the first to 9.0e-10.
+        pts = [(-1.16569288575892, -6.446515794316754), (10.0, 0.0), (-4.999999999999998, 8.660254037844387),
+               (-5.000000000000004, -8.660254037844384), (-3.923186885658163, -8.038555696181032)]
+        assert _canonical_loop(pts) == tuple(pts[1:4])
+        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
 
     def test_non_convex_chain_raises(self):
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (2.0, 2.0), (0.0, 2.0)]

@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stitlab.measure as measure_module
 from conftest import assert_check, random_convex_polygon
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
     Direction,
+    GeometryError,
     box,
     convex_hull,
     hits,
     regular_polygon,
+    rotate,
     separates,
     translate,
 )
 from stitlab.measure import (
     DirectionalMeasure,
+    _difference_hull,
     MeasureError,
     double_hit_mass,
     hit_mass,
@@ -223,6 +229,85 @@ class TestSeparatingMass:
                 separating_mass(iso, a, b), 2.0 * (math.hypot(h, 1.0) - 1.0), rel_tol=1e-12
             )
 
+
+
+def reference_difference_hull(a, b):
+    """The hull of all n * m vertex differences p - q, p in a, q in b."""
+    return convex_hull([(p[0] - q[0], p[1] - q[1]) for p in a.vertices for q in b.vertices])
+
+
+def hull_outcome(fn, a, b):
+    try:
+        return repr(fn(a, b).vertices)
+    except GeometryError as err:
+        return f"GeometryError({err})"
+
+
+@st.composite
+def convex_bodies(draw):
+    """A point, segment, box, regular n-gon or random hull, up to 1e6 from the origin.
+
+    A body that rounding at its offset makes not convex is replaced by its first point.
+    """
+    kind = draw(st.sampled_from(["point", "segment", "box", "n-gon", "hull"]))
+    size = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    cx = draw(st.sampled_from([0.0, 1e3, 1e6])) + draw(st.floats(-50.0, 50.0))
+    cy = draw(st.sampled_from([0.0, -1e6])) + draw(st.floats(-50.0, 50.0))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "point":
+        pts = [(0.0, 0.0)]
+    elif kind == "segment":
+        pts = [(0.0, 0.0), (draw(unit), draw(unit))]
+    elif kind == "box":
+        w, h = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+        pts = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+    elif kind == "n-gon":
+        pts = list(regular_polygon(draw(st.sampled_from([3, 4, 5, 6, 8, 17, 64]))).vertices)
+    else:
+        pts = convex_hull(draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=16))).vertices
+    try:
+        return ConvexPolygon(tuple((cx + size * x, cy + size * y) for x, y in pts))
+    except GeometryError:
+        return ConvexPolygon(((cx + size * pts[0][0], cy + size * pts[0][1]),))
+
+
+@st.composite
+def body_pairs(draw):
+    """Two bodies, or one and a translate of it (every edge parallel), maybe turned by a near-zero angle."""
+    a = draw(convex_bodies())
+    if draw(st.booleans()):
+        return a, draw(convex_bodies())
+    shift = (draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))
+    tilt = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6])) * draw(st.sampled_from([-1.0, 1.0]))
+    try:
+        return a, rotate(translate(a, shift), tilt, about=a.vertices[0])
+    except GeometryError:
+        return a, a
+
+
+class TestDifferenceHull:
+    """The edge merge gives the hull of all n * m differences, vertex for vertex."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(body_pairs())
+    def test_matches_all_differences(self, pair):
+        a, b = pair
+        assert hull_outcome(_difference_hull, a, b) == hull_outcome(reference_difference_hull, a, b)
+        assert hull_outcome(_difference_hull, b, a) == hull_outcome(reference_difference_hull, b, a)
+
+    def test_hull_gets_at_most_n_plus_m_points(self, iso, monkeypatch):
+        sizes = []
+
+        def counting_hull(points):
+            sizes.append(len(points))
+            return convex_hull(points)
+
+        monkeypatch.setattr(measure_module, "convex_hull", counting_hull)
+        a = regular_polygon(64)
+        for b in (translate(a, (5.0, 1.0)), rotate(a, 0.01, about=(-4.0, 0.0))):
+            sizes.clear()
+            separating_mass(iso, a, b)
+            assert len(sizes) == 1 and sizes[0] <= 128
 
 
 class TestDoubleHitMass:

@@ -261,6 +261,18 @@ class TestSweep:
                 measure=iso,
             )
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_time_positive(self, iso, bad):
+        with pytest.raises(ValueError, match="time parameter must be positive"):
+            SweepConfig(
+                body_a=UNIT_VSEG,
+                body_b=UNIT_VSEG,
+                direction=E1,
+                distances=(2.0, 3.0),
+                time=bad,
+                measure=iso,
+            )
+
     def test_mc_spot_check_small_h(self):
         assert_check("mixing.joint_mc_spot")
 
