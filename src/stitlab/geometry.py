@@ -106,13 +106,15 @@ def _perp_distance(p: Point, a: Point, b: Point) -> float:
     return abs(ex * (p[1] - ay) - ey * (p[0] - ax)) / n
 
 
-def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
+def _canonical_loop(points: Sequence[Point], ccw: bool = False) -> tuple[Point, ...]:
     """Tidy a convex vertex loop: dedupe, orient CCW, strip collinear vertices.
 
     Collapses nearly-collinear loops to a segment and coincident points to a
     single point, using the module tolerance. Raises GeometryError when the
     tidied loop turns clockwise at a vertex lying farther than EPS from the
-    chord of its neighbours.
+    chord of its neighbours. With ``ccw`` the loop is known to run
+    counter-clockwise and is never reversed: the shoelace sum about the
+    origin can take the wrong sign for a loop of tiny area.
     """
     pts: list[Point] = []
     lx = ly = 0.0
@@ -159,7 +161,7 @@ def _canonical_loop(points: Sequence[Point]) -> tuple[Point, ...]:
         if all(_perp_distance(p, a, b) <= EPS for p in pts):
             return (a, b) if best_d > EPS else (a,)
 
-    if area2 < 0.0:
+    if area2 < 0.0 and not ccw:
         pts.reverse()
 
     # One scan for the distance of each vertex q = pts[i] from the chord of
@@ -308,7 +310,11 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
 
     lower = half(pts)
     upper = half(pts[::-1])
-    return ConvexPolygon(tuple(lower[:-1] + upper[:-1]))
+    # The chain turns left at every vertex, each turn taken from differences
+    # of nearby points, so its orientation is known.
+    hull = object.__new__(ConvexPolygon)
+    object.__setattr__(hull, "vertices", _canonical_loop(lower[:-1] + upper[:-1], ccw=True))
+    return hull
 
 
 def _clip_loop(

@@ -92,6 +92,15 @@ class TestConvexHull:
         with pytest.raises(GeometryError, match="empty point set"):
             convex_hull([])
 
+    def test_small_triangle_away_from_origin(self):
+        # Doubled area 2.2e-16; summed about the origin it rounds to
+        # -8.9e-16, which once reversed the counter-clockwise hull.
+        pts = [(3.8846569200700327, 1.179541743119065), (3.88465701533592, 1.179541643231187),
+               (3.8846569224096403, 1.1795417429806856)]
+        (ax, ay), (bx, by), (cx, cy) = convex_hull(pts).vertices
+        assert {(ax, ay), (bx, by), (cx, cy)} == set(pts)
+        assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0
+
     def test_idempotent(self):
         assert_check("geometry.hull_idempotent")
 
