@@ -45,7 +45,6 @@ from .measure import (
     sample_hitting,
     separating_mass,
     separation_rate,
-    validate_measure,
 )
 from .mixing import (
     MixingRow,

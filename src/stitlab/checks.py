@@ -42,6 +42,7 @@ from .geometry import (
 from .measure import (
     DirectionalMeasure,
     axis_measure,
+    double_hit_mass,
     hit_mass,
     isotropic_measure,
     min_separation_rate,
@@ -233,6 +234,26 @@ def check_separation_sandwich() -> tuple[bool, str]:
             if not (-1e-9 <= whole - sep <= hit_mass(measure, a) + hit_mass(measure, b) + 1e-9):
                 return False, "sandwich inequality violated"
     return True, "200 random body pairs, both measures"
+
+
+def check_translation_invariance() -> tuple[bool, str]:
+    rng = np.random.default_rng(107)
+    worst = 0.0
+    for k in range(200):
+        atoms = []
+        for u in (random_direction(rng) for _ in range(int(rng.integers(2, 4)))):
+            # Mass on u in two atoms, balanced by one atom on -u.
+            w1, w2 = map(float, rng.uniform(0.1, 1.0, size=2))
+            atoms += [(u, w1), (u, w2), (Direction(-u.x, -u.y), w1 + w2)]
+        m = DirectionalMeasure(tuple(atoms), float(rng.uniform(0.5, 3.0)) if k % 2 else 0.0)
+        a = random_convex_polygon(rng, scale=0.7)
+        b = translate(random_convex_polygon(rng, scale=0.7), tuple(map(float, rng.uniform(-4, 4, size=2))))
+        t = tuple(map(float, rng.uniform(-1e3, 1e3, size=2)))
+        moved = translate(a, t), translate(b, t)
+        hull_mass = hit_mass(m, convex_hull(list(a.vertices) + list(b.vertices)))
+        for f in (separating_mass, double_hit_mass, lambda m, a, b: hit_mass(m, a)):
+            worst = max(worst, abs(f(m, a, b) - f(m, *moved)) / hull_mass)
+    return worst <= 1e-9, f"worst change {worst:.2e} of the pair's hull mass, 200 pairs moved by up to 1e3"
 
 
 def check_simulator_determinism() -> tuple[bool, str]:
@@ -544,6 +565,7 @@ FAST_CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "measure.separation_additivity": check_separation_additivity,
     "measure.rate_lipschitz": check_rate_lipschitz,
     "measure.separation_sandwich": check_separation_sandwich,
+    "measure.translation_invariance": check_translation_invariance,
     "stit.determinism": check_simulator_determinism,
     "stit.area_partition": check_area_partition,
     "stit.restrict_identity": check_restrict_identity,

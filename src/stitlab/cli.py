@@ -23,7 +23,6 @@ from .geometry import (
     CompactSet,
     ConvexPolygon,
     Direction,
-    GeometryError,
     box,
     compact_from_json,
     polygon_from_json,
@@ -31,11 +30,9 @@ from .geometry import (
 )
 from .measure import (
     DirectionalMeasure,
-    MeasureError,
     hit_mass,
     min_separation_rate,
     separation_rate,
-    validate_measure,
 )
 from .mixing import SweepConfig, sweep, sweep_to_csv
 from .stit import (
@@ -90,7 +87,7 @@ def parse_body(obj) -> ConvexPolygon | CompactSet:
                 return polygon_from_json(obj)
             if "shape" in obj:
                 return parse_body(obj["shape"])
-        except (GeometryError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"bad body specification: {exc}")
     raise BadInput("a body needs 'vertices', 'pieces', or a builtin 'shape' name")
 
@@ -105,11 +102,9 @@ def parse_window(obj) -> ConvexPolygon:
 
 def parse_measure(obj) -> DirectionalMeasure:
     try:
-        measure = DirectionalMeasure.from_json(obj)
-        validate_measure(measure)
-    except (MeasureError, KeyError, TypeError, ValueError) as exc:
+        return DirectionalMeasure.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad measure: {exc}")
-    return measure
 
 
 def _resolve_seed(config: dict, args) -> int:
@@ -317,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GeometryError, MeasureError, ValueError) as exc:
+    except ValueError as exc:  # GeometryError, MeasureError and BadInput too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,16 +110,18 @@ def _canonical_loop(points: Sequence[Point], ccw: bool = False) -> tuple[Point, 
     """Tidy a convex vertex loop: dedupe, orient CCW, strip collinear vertices.
 
     Collapses nearly-collinear loops to a segment and coincident points to a
-    single point, using the module tolerance. Raises GeometryError when the
-    tidied loop turns clockwise at a vertex lying farther than EPS from the
-    chord of its neighbours. With ``ccw`` the loop is known to run
-    counter-clockwise and is never reversed: the shoelace sum about the
-    origin can take the wrong sign for a loop of tiny area.
+    single point, using the module tolerance. Raises GeometryError for a
+    non-finite coordinate or when the tidied loop turns clockwise at a vertex
+    farther than EPS from the chord of its neighbours. With ``ccw`` the loop
+    is known to run counter-clockwise and is never reversed: the shoelace sum
+    about the origin can take the wrong sign for a loop of tiny area.
     """
     pts: list[Point] = []
     lx = ly = 0.0
     for p in points:
         x, y = float(p[0]), float(p[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"vertex coordinates must be finite, got ({x}, {y})")
         if not pts or math.hypot(x - lx, y - ly) > EPS:
             pts.append((x, y))
             lx, ly = x, y
@@ -802,7 +804,7 @@ def rotate(poly: ConvexPolygon, theta: float, about: Point = (0.0, 0.0)) -> Conv
 
 
 def scale(poly: ConvexPolygon, s: float) -> ConvexPolygon:
-    if s <= 0:
+    if not (s > 0.0):
         raise GeometryError("scale factor must be positive")
     return ConvexPolygon(tuple((s * x, s * y) for x, y in poly.vertices))
 
@@ -817,7 +819,7 @@ def dilate(body: ConvexPolygon | CompactSet, margin: float) -> ConvexPolygon:
     Hull of the vertices pushed outward in ``DILATE_DIRS`` directions; the
     true clearance is at least margin * cos(pi / DILATE_DIRS).
     """
-    if margin <= 0:
+    if not (margin > 0.0):
         raise GeometryError("dilation margin must be positive")
     pts: list[Point] = []
     for v in _vertices_of(body):

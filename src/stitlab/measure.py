@@ -1,7 +1,7 @@
 """Stationary line measures on the plane.
 
 A translation-invariant measure on lines factorises as (Lebesgue on r >= 0)
-x (finite directional measure nu on the unit circle). Here nu is a list of
+x (finite even directional measure nu on the unit circle). Here nu is a list of
 atoms plus an optional isotropic component, which covers both anisotropic
 models and the isotropic one while keeping every derived quantity in closed
 form: hitting mass of a convex body, separation rate between points, its
@@ -13,7 +13,6 @@ a window.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Protocol
@@ -34,9 +33,11 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 
-# Directions closer than this (by cross product) count as parallel when
-# checking that the measure spans the plane.
+# Rules of a measure: directions closer than SPAN_EPS (by cross product) are
+# parallel; directions within BALANCE_EPS per component are one direction,
+# and masses within BALANCE_EPS (relative, or absolute below 1) are equal.
 SPAN_EPS = 1e-9
+BALANCE_EPS = 1e-12
 
 
 class MeasureError(ValueError):
@@ -59,18 +60,40 @@ class DirectionalMeasure:
     """Directional measure: atoms on the circle plus an isotropic component.
 
     ``isotropic_mass`` is the total mass of the uniform part, spread over the
-    whole circle.
+    whole circle. Construction raises MeasureError naming the failing rule:
+    positive finite masses, normals spanning the plane unless there is an
+    isotropic part, and antipodal balance (every direction carries the atom
+    mass of its opposite, so the line measure is translation-invariant).
     """
 
     atoms: tuple[tuple[Direction, float], ...]
     isotropic_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        for u, w in self.atoms:
+        atoms = self.atoms
+        for u, w in atoms:
             if not (w > 0.0) or not math.isfinite(w):
                 raise MeasureError(f"atom mass must be positive, got {w}")
         if self.isotropic_mass < 0.0 or not math.isfinite(self.isotropic_mass):
             raise MeasureError("isotropic mass must be finite and >= 0")
+        if self.total_mass <= 0.0:
+            raise MeasureError("degenerate directional measure: total mass is zero")
+        if self.isotropic_mass == 0.0 and all(abs(atoms[0][0].cross(v)) <= SPAN_EPS for v, _ in atoms):
+            raise MeasureError(
+                "degenerate directional measure: all atom directions are parallel,"
+                " supported normals do not span the plane"
+            )
+        eps = BALANCE_EPS
+        for u, _ in atoms:
+            same, opposite = (
+                sum(w for v, w in atoms if abs(v.x - s * u.x) <= eps and abs(v.y - s * u.y) <= eps)
+                for s in (1.0, -1.0)
+            )
+            if abs(same - opposite) > eps * max(1.0, same, opposite):
+                raise MeasureError(
+                    f"atom set is not antipodally balanced: direction ({u.x:.6g}, {u.y:.6g})"
+                    f" carries mass {same:.6g}, its opposite {opposite:.6g}"
+                )
 
     @property
     def total_mass(self) -> float:
@@ -100,44 +123,6 @@ def axis_measure(mass_per_atom: float = 0.5) -> DirectionalMeasure:
     """Atoms of equal mass on the four axis directions."""
     dirs = (Direction(1, 0), Direction(-1, 0), Direction(0, 1), Direction(0, -1))
     return DirectionalMeasure(atoms=tuple((u, mass_per_atom) for u in dirs))
-
-
-def validate_measure(measure: DirectionalMeasure) -> None:
-    """Check positivity and that supported directions span the plane.
-
-    Raises MeasureError naming the failing clause; warns when the atom set is
-    not antipodally balanced (such measures cannot place lines on both sides
-    of the origin in the unbalanced directions).
-    """
-    if measure.total_mass <= 0.0:
-        raise MeasureError("degenerate directional measure: total mass is zero")
-    if measure.isotropic_mass == 0.0:
-        spanning = False
-        atoms = measure.atoms
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if abs(atoms[i][0].cross(atoms[j][0])) > SPAN_EPS:
-                    spanning = True
-                    break
-            if spanning:
-                break
-        if not spanning:
-            raise MeasureError(
-                "degenerate directional measure: all atom directions are parallel,"
-                " supported normals do not span the plane"
-            )
-    for u, w in measure.atoms:
-        paired = any(
-            abs(u.x + v.x) <= 1e-12 and abs(u.y + v.y) <= 1e-12 and abs(w - w2) <= 1e-12
-            for v, w2 in measure.atoms
-        )
-        if not paired:
-            warnings.warn(
-                "atom set is not antipodally balanced; lines with normal "
-                f"({u.x:.6g}, {u.y:.6g}) occur on one side of the origin only",
-                stacklevel=2,
-            )
-            break
 
 
 def hit_mass(measure: DirectionalMeasure, body: ConvexPolygon | CompactSet) -> float:
@@ -205,7 +190,6 @@ def min_separation_rate(measure: DirectionalMeasure) -> float:
     nu-total / 2 in the Euclidean direction distance) is guaranteed to be at
     or below the true minimum.
     """
-    validate_measure(measure)
     angles = np.arange(GRID_POINTS) * (math.pi / GRID_POINTS)
     values = separation_rate_grid(measure, angles)
     spacing = math.pi / GRID_POINTS
@@ -458,11 +442,13 @@ def _sample_line(
         if x < w:
             return Hyperplane(rng.uniform(lo, hi), u)
         x -= w
+    if per is None:  # rounding left x past the last atom: take the last that hits
+        u, _, lo, hi = next(a for a in reversed(atoms) if a[1] > 0.0)
+        return Hyperplane(rng.uniform(lo, hi), u)
 
     # Interval lengths never exceed the width, which is at most perimeter / 2,
-    # so acceptance is exactly 1/pi for every convex window. Rounding can
-    # leave x past the last atom of a measure without isotropic part.
-    bound = 0.5 * (perimeter(window) if per is None else per)
+    # so acceptance is exactly 1/pi for every convex window.
+    bound = 0.5 * per
     verts = window.vertices
     uniform, random, cos, sin = rng.uniform, rng.random, math.cos, math.sin
     while True:

@@ -37,7 +37,7 @@ from .geometry import (
     scale as scale_polygon,
     segment_hits_body,
 )
-from .measure import DirectionalMeasure, _hitting_law, _sample_line, validate_measure
+from .measure import DirectionalMeasure, _hitting_law, _sample_line
 
 # Hard cap on processed division events; misconfigured huge a * Lambda([W])
 # aborts with a diagnostic instead of running away.
@@ -177,9 +177,7 @@ def _divisions(
     the time parameter. With ``near`` given, a child is spawned only if
     ``near(child polygon)`` holds; a child left out takes its whole subtree
     with it, because descendants and their chords lie inside it, and every
-    kept cell still gets exactly the draws it gets in the full run. The
-    callers check the measure (``validate_measure``): ``simulate`` once per
-    run, ``HitQuery`` once per measure.
+    kept cell still gets exactly the draws it gets in the full run.
     """
     window = params.window
     if len(window.vertices) < 3 or area(window) <= 0.0:
@@ -233,7 +231,6 @@ def simulate(params: SimulationParams) -> Tessellation:
     ``cells`` holds the cells alive at the time parameter, sorted by label;
     a cell's parent is its label halved.
     """
-    validate_measure(params.measure)
     live: list = []
     edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, live) if cut is not None]
     cells = tuple(
@@ -324,7 +321,7 @@ def nest(
 
 def rescale(tess: Tessellation, factor: float) -> Tessellation:
     """Scale all coordinates by a positive factor; time metadata unchanged."""
-    if factor <= 0.0:
+    if not (factor > 0.0):
         raise GeometryError("rescale factor must be positive")
 
     def sp(p: tuple[float, float]) -> tuple[float, float]:
@@ -489,8 +486,7 @@ class HitQuery:
     Construction checks that every body lies in the window's interior and
     builds each piece's reach box and the pruning test (``_near_test``), so
     a loop over seeds does none of this per replicate. The window's hitting
-    law is kept for the last measure asked, and the measure is validated
-    only when that law is computed, so every replicate reuses both.
+    law is kept for the last measure asked, so every replicate reuses it.
     """
 
     def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
@@ -504,7 +500,6 @@ class HitQuery:
 
     def _root_law(self, measure: DirectionalMeasure) -> tuple:
         if self._root[0] is not measure:
-            validate_measure(measure)
             self._root = (measure, _hitting_law(measure, self.window))
         return self._root[1]
 

@@ -249,6 +249,16 @@ class TestBadInput:
         )
         assert main(["measure", "--config", cfg]) == 2
 
+    def test_non_finite_vertex(self, tmp_path):
+        body = {"vertices": [[0, 0], [1, 0], [float("nan"), 1]]}
+        cfg = write_config(tmp_path, "m.json", {"measure": ISO_MEASURE, "set": body})
+        assert main(["measure", "--config", cfg]) == 2
+
+    def test_unbalanced_measure(self, tmp_path):
+        atoms = [{"angle_radians": 0.0, "mass": 1.0}, {"angle_radians": math.pi / 2, "mass": 1.0}]
+        cfg = write_config(tmp_path, "m.json", {"measure": {"atoms": atoms}, "set": "unit_square"})
+        assert main(["measure", "--config", cfg]) == 2
+
     def test_unknown_shape(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", {"measure": ISO_MEASURE, "set": "dodecahedron"})
         assert main(["measure", "--config", cfg]) == 2

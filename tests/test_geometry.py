@@ -126,6 +126,15 @@ class TestPolygonConstruction:
         p = ConvexPolygon(((0, 0), (1, 1e-12), (2, 0)))
         assert len(p.vertices) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        # A NaN vertex used to vanish in the dedupe, leaving the point (nan, 0).
+        for pts in (((bad, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, bad), (0.0, 1.0))):
+            with pytest.raises(GeometryError, match="finite"):
+                ConvexPolygon(pts)
+            with pytest.raises(GeometryError, match="finite"):
+                convex_hull(pts)
+
 
 class TestClip:
     def test_axis_cut(self, unit_square):
@@ -405,8 +414,14 @@ class TestMotions:
     def test_scale(self, unit_square):
         s = scale(unit_square, 3.0)
         assert math.isclose(area(s), 9.0)
-        with pytest.raises(GeometryError):
-            scale(unit_square, -1.0)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                scale(unit_square, bad)
+
+    def test_dilate_needs_a_finite_positive_margin(self, unit_square):
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                dilate(unit_square, bad)
 
 
 class TestJson:

@@ -32,7 +32,6 @@ from stitlab.measure import (
     sample_hitting,
     separating_mass,
     separation_rate,
-    validate_measure,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -66,25 +65,35 @@ def mc_separating_mass(measure, a, b, n, seed) -> float:
 
 
 class TestValidate:
+    # Every rule of a valid measure is checked on construction.
     def test_parallel_atoms_rejected(self):
-        m = DirectionalMeasure(atoms=((E1, 1.0),))
-        with pytest.raises(MeasureError, match="degenerate directional measure"):
-            validate_measure(m)
+        for atoms in (((E1, 1.0),), ((E1, 1.0), (Direction(-1.0, 0.0), 1.0))):
+            with pytest.raises(MeasureError, match="do not span the plane"):
+                DirectionalMeasure(atoms=atoms)
 
     def test_axis_measure_ok(self, axes):
-        validate_measure(axes)
+        assert DirectionalMeasure(axes.atoms) == axes
 
     def test_isotropic_ok(self, iso):
-        validate_measure(iso)
+        assert DirectionalMeasure((), iso.isotropic_mass) == iso
 
     def test_zero_mass_rejected(self):
         with pytest.raises(MeasureError, match="total mass"):
-            validate_measure(DirectionalMeasure(atoms=(), isotropic_mass=0.0))
+            DirectionalMeasure(atoms=(), isotropic_mass=0.0)
 
-    def test_unbalanced_atoms_warn(self):
-        m = DirectionalMeasure(atoms=((E1, 1.0), (Direction(0.0, 1.0), 1.0)))
-        with pytest.warns(UserWarning, match="antipodally"):
-            validate_measure(m)
+    def test_unbalanced_atoms_rejected(self):
+        # Either set makes hit_mass depend on where the origin is: the unit
+        # square's is 2 at the origin and 0 after a shift by (-5, -5) for the
+        # first, 3 and 2 for the second, whose mass on E1 is 2 but on -E1 is 1.
+        u, w = E1, Direction(0.0, 1.0)
+        minus_u, minus_w = Direction(-1.0, 0.0), Direction(0.0, -1.0)
+        for atoms, iso_mass in (
+            (((u, 1.0), (w, 1.0)), 0.0),
+            (((u, 1.0), (w, 1.0)), 1.0),
+            (((u, 1.0), (u, 1.0), (minus_u, 1.0), (w, 1.0), (minus_w, 1.0)), 0.0),
+        ):
+            with pytest.raises(MeasureError, match="antipodally balanced"):
+                DirectionalMeasure(atoms=atoms, isotropic_mass=iso_mass)
 
     def test_nonpositive_atom_mass_rejected(self):
         with pytest.raises(MeasureError):
@@ -167,9 +176,9 @@ class TestMinSeparationRate:
         assert_check("measure.kappa_certified")
 
     def test_invalid_measure_propagates(self):
-        m = DirectionalMeasure(atoms=((E1, 0.5), (Direction(-1.0, 0.0), 0.5)))
-        with pytest.raises(MeasureError):
-            min_separation_rate(m)
+        # No measure whose separation rate vanishes on a direction can be built.
+        with pytest.raises(MeasureError, match="do not span the plane"):
+            min_separation_rate(DirectionalMeasure(atoms=((E1, 0.5), (Direction(-1.0, 0.0), 0.5))))
 
     def test_lower_bounds_rate_on_dense_grid(self):
         assert_check("measure.kappa_certified")
@@ -313,7 +322,10 @@ class TestDifferenceHull:
 class TestDoubleHitMass:
     def test_inclusion_exclusion(self, iso, axes):
         # Lines hitting the joint hull hit a, b, both, or separate them.
-        mixed = DirectionalMeasure(atoms=((E1, 0.3), (Direction(0.6, 0.8), 0.7)), isotropic_mass=1.5)
+        pairs = ((E1, 0.3), (Direction(0.6, 0.8), 0.7))
+        mixed = DirectionalMeasure(
+            atoms=pairs + tuple((Direction(-u.x, -u.y), w) for u, w in pairs), isotropic_mass=1.5
+        )
         rng = np.random.default_rng(83)
         for _ in range(200):
             a = random_convex_polygon(rng, scale=0.7)
@@ -357,6 +369,23 @@ class TestSampleHitting:
         for _ in range(500):
             plane = sample_hitting(axes, unit_square, rng)
             assert min(abs(plane.u.x), abs(plane.u.y)) < 1e-12
+
+    def test_rounding_past_the_last_atom_draws_an_atom(self, axes):
+        # This window's rate times 1 - 2**-53, less each atom's mass in turn,
+        # is not below the last one's: the draw must still take an atom.
+        class TopDraw:
+            draws = iter([1.0 - 2.0**-53])
+
+            def random(self):
+                return next(self.draws)
+
+            def uniform(self, lo, hi):
+                return lo
+
+        window = box(0.92, 0.13, 1.15, 1.14)
+        plane = sample_hitting(axes, window, TopDraw())
+        assert plane.u in [u for u, _ in axes.atoms]
+        assert hits(plane, window)
 
     def test_degenerate_window_rejected(self, iso):
         with pytest.raises(MeasureError, match="degenerate window"):

@@ -343,6 +343,9 @@ class TestRescaleAndQueries:
             hit_mass(iso, s.live_cells[0].polygon),
             2.5 * hit_mass(iso, t.live_cells[0].polygon),
         )
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                rescale(t, bad)
 
     def test_hits_internal_empty_tessellation(self, iso):
         t = simulate(params(box(0, 0, 3, 3), 0.0, iso, 65))
