@@ -70,6 +70,8 @@ from .stit import (
     rescale,
     restrict,
     simulate,
+    tessellation_from_json,
+    tessellation_to_json,
 )
 from .svg import render_svg
 

@@ -40,7 +40,6 @@ from .stit import (
     SimulationParams,
     mix_seed,
     simulate,
-    tessellation_from_json,
     tessellation_to_json,
 )
 from .svg import render_svg
@@ -163,12 +162,6 @@ def cmd_simulate(args) -> int:
     if args.svg is not None:
         Path(args.svg).write_text(render_svg(tess))
     return 0
-
-
-def read_tessellation_file(path: str):
-    """Read a tessellation dump, with or without the CLI's config wrapper."""
-    obj = json.loads(Path(path).read_text())
-    return tessellation_from_json(obj.get("tessellation", obj))
 
 
 def cmd_capacity(args) -> int:

@@ -581,26 +581,6 @@ def diameter(body: ConvexPolygon | CompactSet) -> float:
     )
 
 
-def centroid(poly: ConvexPolygon) -> Point:
-    verts = poly.vertices
-    n = len(verts)
-    if n == 1:
-        return verts[0]
-    if n == 2:
-        return ((verts[0][0] + verts[1][0]) / 2.0, (verts[0][1] + verts[1][1]) / 2.0)
-    a2 = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        w = x1 * y2 - x2 * y1
-        a2 += w
-        cx += (x1 + x2) * w
-        cy += (y1 + y2) * w
-    return (cx / (3.0 * a2), cy / (3.0 * a2))
-
-
 # ---------------------------------------------------------------------------
 # Distances and containment
 
@@ -790,17 +770,6 @@ def hit_reach(piece: ConvexPolygon, scale: float) -> tuple[Point, ...] | None:
 
 def translate(poly: ConvexPolygon, t: Point) -> ConvexPolygon:
     return ConvexPolygon(tuple((x + t[0], y + t[1]) for x, y in poly.vertices))
-
-
-def rotate(poly: ConvexPolygon, theta: float, about: Point = (0.0, 0.0)) -> ConvexPolygon:
-    c, s = math.cos(theta), math.sin(theta)
-    ox, oy = about
-    return ConvexPolygon(
-        tuple(
-            (ox + c * (x - ox) - s * (y - oy), oy + s * (x - ox) + c * (y - oy))
-            for x, y in poly.vertices
-        )
-    )
 
 
 def scale(poly: ConvexPolygon, s: float) -> ConvexPolygon:

@@ -155,6 +155,11 @@ class Tessellation:
         return tuple(c for c in self.cells if c.death_time > self.time)
 
 
+def _require_area(window: ConvexPolygon) -> None:
+    if len(window.vertices) < 3 or area(window) <= 0.0:
+        raise GeometryError("simulation window must have positive area")
+
+
 def _divisions(
     params: SimulationParams,
     live: list,
@@ -172,16 +177,18 @@ def _divisions(
     cell. ``law`` is the cell's ``measure._hitting_law``, computed once for
     its rate and reused by every draw of its dividing line, or None for a
     cell that dies after the time parameter; ``root_law``, if given, is the
-    window's. Labels are unique, so entries never compare past the label.
-    Once the loop is exhausted, ``live`` holds exactly the cells alive at
-    the time parameter. With ``near`` given, a child is spawned only if
-    ``near(child polygon)`` holds; a child left out takes its whole subtree
-    with it, because descendants and their chords lie inside it, and every
-    kept cell still gets exactly the draws it gets in the full run.
+    window's, from a caller that has checked the window's area (``HitQuery``
+    does so once, at construction). Labels are unique, so entries never
+    compare past the label. Once the loop is exhausted, ``live`` holds
+    exactly the cells alive at the time parameter. With ``near`` given, a
+    child is spawned only if ``near(child polygon)`` holds; a child left
+    out takes its whole subtree with it, because descendants and their
+    chords lie inside it, and every kept cell still gets exactly the draws
+    it gets in the full run.
     """
     window = params.window
-    if len(window.vertices) < 3 or area(window) <= 0.0:
-        raise GeometryError("simulation window must have positive area")
+    if root_law is None:
+        _require_area(window)
     measure = params.measure
     horizon = params.time
     # cell_stream(seed, label), with the seed folded in once per run.
@@ -483,13 +490,15 @@ def _near_test(queries: Sequence[QueryBody]) -> Callable[[ConvexPolygon], bool] 
 class HitQuery:
     """Query bodies prepared once for query-driven runs in one window.
 
-    Construction checks that every body lies in the window's interior and
-    builds each piece's reach box and the pruning test (``_near_test``), so
-    a loop over seeds does none of this per replicate. The window's hitting
-    law is kept for the last measure asked, so every replicate reuses it.
+    Construction checks that the window has positive area and every body
+    lies in its interior, and builds each piece's reach box and the pruning
+    test (``_near_test``), so a loop over seeds does none of this per
+    replicate. The window's hitting law is kept for the last measure asked,
+    so every replicate reuses it.
     """
 
     def __init__(self, window: ConvexPolygon, bodies: Sequence[ConvexPolygon | CompactSet]):
+        _require_area(window)
         self.window = window
         self.bodies = tuple(bodies)
         if not self.bodies:

@@ -12,13 +12,13 @@ import math
 
 import numpy as np
 
+from conftest import centroid
 from stitlab.capacity import default_window, increment_check, mc_joint, mc_missing
 from stitlab.cli import main as cli_main
 from stitlab.geometry import (
     ConvexPolygon,
     Direction,
     box,
-    centroid,
     convex_hull,
     interior_clearance,
     regular_polygon,

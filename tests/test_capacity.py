@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import assert_check
+from conftest import assert_check, rotate
 from stitlab.capacity import (
     Estimate,
     capacity_growth_bound,
@@ -21,7 +21,6 @@ from stitlab.geometry import (
     GeometryError,
     box,
     interior_clearance,
-    rotate,
     translate,
 )
 from stitlab.measure import MeasureError, hit_mass

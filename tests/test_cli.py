@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from stitlab.cli import main, read_tessellation_file
+from conftest import read_tessellation_file
+from stitlab.cli import main
 
 ISO_MEASURE = {"isotropic_mass": 6.283185307179586, "atoms": []}
 AXIS_MEASURE = {
@@ -34,7 +35,8 @@ class TestMeasureCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["lambda_hit"] == pytest.approx(4.0)
         assert report["total_mass"] == pytest.approx(2.0 * math.pi)
-        assert 2.0 - 1e-3 <= report["kappa"] <= 2.0
+        # kappa is the exact minimum, 2, less its rounding bound (no atoms: 2 * 2**-52 * total mass).
+        assert 2.0 - 2 * 2.0**-52 * report["total_mass"] <= report["kappa"] <= 2.0
         assert all(v["value"] == pytest.approx(2.0) for v in report["zeta"])
 
     def test_explicit_set_geometry(self, tmp_path, capsys):

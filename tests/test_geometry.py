@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stitlab.geometry as geometry
-from conftest import assert_check, random_convex_polygon, random_direction
+from conftest import assert_check, random_convex_polygon, random_direction, rotate
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
@@ -35,7 +35,6 @@ from stitlab.geometry import (
     polygon_intersection,
     projection_bounds,
     regular_polygon,
-    rotate,
     scale,
     segment_hits_body,
     segment_segment_distance,

@@ -1,7 +1,9 @@
 """Import hygiene: every name a package module imports is used in it, and
-every module-level private function or class is used somewhere in the package.
+every module-level function or class is read somewhere in the package.
 
 ``__init__.py`` is left out of the first check: its imports are the public API.
+They count as reads in the second, so a public name passes it by being
+exported, and a private one or an unexported public one by being read.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unused_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_``-prefixed functions and classes that no module reads.
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no module reads.
 
     A read is a name load, an attribute or an imported name anywhere in the
     given sources; the definition itself is not one.
@@ -48,7 +50,7 @@ def unused_privates(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -65,9 +67,18 @@ def test_private_detector_finds_unused_definitions():
         "a": "def _used(): pass\ndef _dead(): pass\nclass _Kept: pass\n",
         "b": "from a import _used\nimport a\nx = a._Kept\n",
     }
-    assert unused_privates(sources) == ["a._dead"]
+    assert unread_definitions(sources) == ["a._dead"]
 
 
-def test_every_private_definition_is_used():
+def test_public_detector_finds_unexported_unread_definitions():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "def exported(): pass\ndef helper(): pass\ndef dead(): pass\nclass Dead: pass\n",
+        "b": "from .a import helper\nhelper()\n",
+    }
+    assert unread_definitions(sources) == ["a.Dead", "a.dead"]
+
+
+def test_every_definition_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unused_privates(sources) == []
+    assert unread_definitions(sources) == []

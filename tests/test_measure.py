@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stitlab.measure as measure_module
-from conftest import assert_check, random_convex_polygon
+from conftest import assert_check, random_convex_polygon, rotate
 from stitlab.geometry import (
     CompactSet,
     ConvexPolygon,
@@ -18,7 +18,6 @@ from stitlab.geometry import (
     convex_hull,
     hits,
     regular_polygon,
-    rotate,
     separates,
     translate,
 )
@@ -26,8 +25,10 @@ from stitlab.measure import (
     DirectionalMeasure,
     _difference_hull,
     MeasureError,
+    axis_measure,
     double_hit_mass,
     hit_mass,
+    isotropic_measure,
     min_separation_rate,
     sample_hitting,
     separating_mass,
@@ -168,6 +169,26 @@ class TestSeparationRate:
         assert_check("measure.rate_lipschitz")
 
 
+def kappa_rounding_bound(measure: DirectionalMeasure) -> float:
+    """The rounding bound ``min_separation_rate`` subtracts: (k + 2) * 2**-52 * total mass for k atoms."""
+    return (len(measure.atoms) + 2) * 2.0**-52 * measure.total_mass
+
+
+@st.composite
+def balanced_measures(draw):
+    """One to six atoms, each with its antipode, and maybe an isotropic part."""
+    iso = draw(st.sampled_from([0.0, 0.0, 1e-3, 1.0, 10.0]))
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = Direction.from_angle(draw(st.floats(0.0, math.pi, exclude_max=True)))
+        w = draw(st.floats(1e-3, 10.0))
+        atoms += [(u, w), (Direction(-u.x, -u.y), w)]
+    try:
+        return DirectionalMeasure(atoms=tuple(atoms), isotropic_mass=iso)
+    except MeasureError:  # parallel atoms and no isotropic part
+        return DirectionalMeasure(atoms=tuple(atoms), isotropic_mass=1.0)
+
+
 class TestMinSeparationRate:
     def test_isotropic_certified_band(self):
         assert_check("measure.kappa_certified")
@@ -182,6 +203,31 @@ class TestMinSeparationRate:
 
     def test_lower_bounds_rate_on_dense_grid(self):
         assert_check("measure.kappa_certified")
+
+    @pytest.mark.parametrize(
+        "measure, exact",
+        [
+            (isotropic_measure(), 2.0),
+            (isotropic_measure(1.0), 1.0 / math.pi),
+            (axis_measure(), 0.5),
+            (axis_measure(3.0), 3.0),
+        ],
+        ids=["isotropic", "isotropic-1", "axis", "axis-3"],
+    )
+    def test_exact_within_rounding_bound(self, measure, exact):
+        assert exact - kappa_rounding_bound(measure) <= min_separation_rate(measure) <= exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(balanced_measures())
+    def test_matches_dense_grid(self, measure):
+        """At or below every grid rate, and within the grid's Lipschitz slack of their minimum."""
+        n = 2048
+        rates = [separation_rate(measure, Direction.from_angle(k * math.pi / n)) for k in range(n)]
+        kappa = min_separation_rate(measure)
+        # Every direction lies within pi / (2n) of the half-circle grid, and
+        # the rate is Lipschitz with constant total_mass / 2 (criterion 5).
+        slack = measure.total_mass * math.sin(math.pi / (4 * n))
+        assert kappa <= min(rates) <= kappa + slack + kappa_rounding_bound(measure)
 
 
 class TestSeparatingMass:

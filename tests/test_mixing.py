@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from conftest import assert_check
+from conftest import assert_check, rotate
 from stitlab.checks import closed_form_configs, first_split_terms, simpson
 from stitlab.capacity import missing_probability
 from stitlab.geometry import CompactSet, ConvexPolygon, Direction, box, regular_polygon, translate
@@ -109,8 +109,6 @@ class TestBoundsAndConstants:
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_chi_rigid_motion_invariance(self, iso, unit_square):
-        from stitlab.geometry import rotate
-
         moved = rotate(translate(unit_square, (5.0, 2.0)), 1.2, about=(0.0, 0.0))
         a = mixing_constant(unit_square, unit_square, 1.0, iso)
         b = mixing_constant(moved, moved, 1.0, iso)

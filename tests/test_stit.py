@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_check
+from conftest import assert_check, centroid, rotate
 import stitlab.checks as checks
 import stitlab.stit as stit_mod
 from stitlab.capacity import (
@@ -31,7 +31,6 @@ from stitlab.geometry import (
     GeometryError,
     area,
     box,
-    centroid,
     contains_point,
     convex_hull,
     dilate,
@@ -41,7 +40,6 @@ from stitlab.geometry import (
     polygon_intersection,
     polygon_to_json,
     regular_polygon,
-    rotate,
     segment_hits_body,
     translate,
 )
@@ -493,6 +491,29 @@ class TestFirstHitSeedGrid:
         monkeypatch.setattr(stit_mod, "chord", counting)
         HitQuery(p.window, bodies).first_hit(p.time, p.measure, p.seed)
         assert 0 < len(events) < full / 5
+
+    def test_window_area_checked_once(self, iso, monkeypatch):
+        calls = []
+        original = stit_mod.area
+
+        def counting(poly):
+            calls.append(poly)
+            return original(poly)
+
+        monkeypatch.setattr(stit_mod, "area", counting)
+        square = box(0.0, 0.0, 1.0, 1.0)
+        query = HitQuery(default_window(square), [square])
+        assert calls == [query.window]
+        for seed in range(20):
+            query.first_hit(1.0, iso, mix_seed(9800, seed))
+        assert len(calls) == 1
+        # Each inner run of a nested query still checks its own cell.
+        query.first_hit_nested(0.05, 1.0, iso, mix_seed(9800, 0), mix_seed(9800, 1))
+        assert len(calls) > 1
+
+    def test_degenerate_window_rejected(self):
+        with pytest.raises(GeometryError, match="simulation window must have positive area"):
+            HitQuery(ConvexPolygon(((0.0, 0.0), (2.0, 0.0))), [ConvexPolygon(((1.0, 0.0),))])
 
     def test_no_bodies_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
