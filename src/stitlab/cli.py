@@ -72,6 +72,15 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _parse(config: dict, key: str, kind):
+    """``kind(config[key])``, where a value of the wrong type is bad input naming the key."""
+    value = _require(config, key)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise BadInput(f"config key {key!r} has a bad value {value!r}: {exc}")
+
+
 def parse_body(obj) -> ConvexPolygon | CompactSet:
     """A body is a builtin shape name, a polygon, or a compact set."""
     if isinstance(obj, str):
@@ -111,7 +120,7 @@ def _resolve_seed(config: dict, args) -> int:
         return args.seed
     if "seed" not in config:
         raise BadInput("seed must be given in the config file or with --seed")
-    return int(config["seed"])
+    return _parse(config, "seed", int)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,7 +163,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(config, args)
     tess = simulate(
         SimulationParams(
-            window=window, time=float(_require(config, "a")), measure=measure, seed=seed
+            window=window, time=_parse(config, "a", float), measure=measure, seed=seed
         )
     )
     doc = {"config": {**config, "seed": seed}, "tessellation": tessellation_to_json(tess)}
@@ -169,8 +178,8 @@ def cmd_capacity(args) -> int:
     measure = parse_measure(_require(config, "measure"))
     body = parse_body(_require(config, "set"))
     seed = _resolve_seed(config, args)
-    n = args.n if args.n is not None else int(_require(config, "n"))
-    a = float(_require(config, "a"))
+    n = args.n if args.n is not None else _parse(config, "n", int)
+    a = _parse(config, "a", float)
     window = parse_window(config["window"]) if "window" in config else None
     est = mc_missing(body, a, measure, n, seed, window=window)
     analytic = missing_probability(body, a, measure) if body.connected else None
@@ -198,17 +207,18 @@ def cmd_mixing(args) -> int:
     config = _load_config(args.config)
     measure = parse_measure(_require(config, "measure"))
     seed = _resolve_seed(config, args)
-    dx, dy = _require(config, "direction")
-    mc_n = args.n if args.n is not None else config.get("mc_n")
+    mc_n = args.n
+    if mc_n is None and config.get("mc_n") is not None:
+        mc_n = _parse(config, "mc_n", int)
     sweep_config = SweepConfig(
         body_a=parse_body(_require(config, "A")),
         body_b=parse_body(_require(config, "B")),
-        direction=Direction(float(dx), float(dy)),
-        distances=tuple(float(h) for h in _require(config, "distances")),
-        time=float(_require(config, "a")),
+        direction=_parse(config, "direction", lambda v: Direction(*(float(c) for c in v))),
+        distances=_parse(config, "distances", lambda v: tuple(float(h) for h in v)),
+        time=_parse(config, "a", float),
         measure=measure,
         seed=seed,
-        mc_n=int(mc_n) if mc_n is not None else None,
+        mc_n=mc_n,
     )
     rows = sweep(sweep_config)
     resolved = {**config, "seed": seed}
@@ -224,9 +234,9 @@ def cmd_iterate(args) -> int:
     window = parse_window(_require(config, "window"))
     body = parse_body(_require(config, "set"))
     seed = _resolve_seed(config, args)
-    n = args.n if args.n is not None else int(_require(config, "n"))
-    a = float(_require(config, "a"))
-    a2 = float(_require(config, "a2"))
+    n = args.n if args.n is not None else _parse(config, "n", int)
+    a = _parse(config, "a", float)
+    a2 = _parse(config, "a2", float)
     if n < 1:
         raise BadInput("need at least one replication")
     query = HitQuery(window, [body])

@@ -244,70 +244,29 @@ def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
 
 
 def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """The isotropic part of ``separating_mass``, from the hull of {p - q : p in a, q in b}."""
-    return measure.isotropic_mass / TWO_PI * _negative_support_integral(_difference_hull(a, b))
+    """The isotropic part of ``separating_mass``, by Crofton's formula.
 
-
-def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float, float, float]]:
-    """Angular arcs on which each vertex realises the support maximum.
-
-    Returns (vertex_x, vertex_y, arc_start, arc_end) tuples with
-    arc_end > arc_start, covering one full turn in total.
+    A line separates a and b iff it separates the origin O from D, the hull
+    of {p - q : p in a, q in b}: it hits conv(D + O) but misses D. So the
+    mass is isotropic_mass / 2 pi times per(conv(D + O)) - per(D). On D's
+    counter-clockwise loop that is the distance from O of the two ends of
+    the chain of edges that O sees (lies strictly outside of), less the
+    chain's length; for a point or a segment pq it is |p| + |q| - |pq|.
+    Rounding can leave a few ulps below zero, which the cut at 0 removes.
     """
-    verts = poly.vertices
-    n = len(verts)
-    if n == 1:
-        x, y = verts[0]
-        return [(x, y, 0.0, TWO_PI)]
-    if n == 2:
-        (x0, y0), (x1, y1) = verts
-        phi = math.atan2(y1 - y0, x1 - x0)
-        # v1 is active where <v1 - v0, u> > 0: the half circle around phi.
-        return [
-            (x1, y1, phi - math.pi / 2.0, phi + math.pi / 2.0),
-            (x0, y0, phi + math.pi / 2.0, phi + 3.0 * math.pi / 2.0),
-        ]
-    normals = []
-    for i in range(n):
-        ex = verts[(i + 1) % n][0] - verts[i][0]
-        ey = verts[(i + 1) % n][1] - verts[i][1]
-        normals.append(math.atan2(-ex, ey))
-    arcs = []
-    for i in range(n):
-        start = normals[i - 1]
-        end = normals[i]
-        while end <= start:
-            end += TWO_PI
-        arcs.append((verts[i][0], verts[i][1], start, end))
-    return arcs
-
-
-def _negative_cos_antiderivative(psi: float) -> float:
-    """Antiderivative of max(0, -cos); increases by 2 per full turn."""
-    turns = math.floor(psi / TWO_PI)
-    frac = psi - turns * TWO_PI
-    if frac <= math.pi / 2.0:
-        g = 0.0
-    elif frac <= 3.0 * math.pi / 2.0:
-        g = 1.0 - math.sin(frac)
+    verts = _difference_hull(a, b).vertices
+    if len(verts) <= 2:
+        (px, py), (qx, qy) = verts[0], verts[-1]
+        ends = math.hypot(px, py) + math.hypot(qx, qy)
+        chain = math.hypot(qx - px, qy - py)
     else:
-        g = 2.0
-    return 2.0 * turns + g
-
-
-def _negative_support_integral(poly: ConvexPolygon) -> float:
-    """Exact integral over all directions of max(0, -h(u)) for a convex body."""
-    total = 0.0
-    for x, y, start, end in _support_arcs(poly):
-        r = math.hypot(x, y)
-        if r == 0.0:
-            continue
-        phi = math.atan2(y, x)
-        total += r * (
-            _negative_cos_antiderivative(end - phi)
-            - _negative_cos_antiderivative(start - phi)
-        )
-    return total
+        # Edge i runs from vertex i to i + 1; O sees it when their cross product is negative.
+        nxt = verts[1:] + verts[:1]
+        seen = [x0 * y1 - y0 * x1 < 0.0 for (x0, y0), (x1, y1) in zip(verts, nxt)]
+        ends = sum(math.hypot(x, y) for i, (x, y) in enumerate(verts) if seen[i] != seen[i - 1])
+        chain = sum(math.hypot(x1 - x0, y1 - y0) for s, (x0, y0), (x1, y1) in zip(seen, verts, nxt) if s)
+    gap = ends - chain
+    return measure.isotropic_mass / TWO_PI * gap if gap > 0.0 else 0.0
 
 
 def separating_mass(
@@ -317,9 +276,10 @@ def separating_mass(
 ) -> float:
     """Measure of all lines strictly separating the two bodies.
 
-    Zero when the hulls overlap (nothing separates). The isotropic part is
-    integrated exactly: the signed gap along direction u is minus the support
-    function of the Minkowski difference of the hulls, a piecewise sinusoid.
+    Zero when the hulls overlap (nothing separates). Each atom contributes
+    the gap between the hulls' cut r-ranges. The isotropic part is exact by
+    Crofton's formula: a perimeter difference over the difference hull
+    (``_separating_isotropic``).
     """
     hull_a = hull_of(a)
     hull_b = hull_of(b)

@@ -275,6 +275,28 @@ class TestBadInput:
         assert main(["iterate", "--config", cfg, "--n", n]) == 2
         assert capsys.readouterr().err == "error: need at least one replication\n"
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("capacity", "a", [1.0]),
+            ("iterate", "a2", {"t": 0.5}),
+            ("capacity", "n", [300]),
+            ("capacity", "seed", [17]),
+            ("mixing", "mc_n", [5]),
+            ("mixing", "direction", 1.0),
+            ("mixing", "distances", 5.0),
+        ],
+        ids=["a", "a2", "n", "seed", "mc_n", "direction", "distances"],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, command, key, value):
+        config = {"measure": ISO_MEASURE, "set": "unit_square", "A": "unit_segment", "B": "unit_segment"}
+        config.update(a=0.5, a2=0.5, n=2, mc_n=2, seed=1, direction=[1, 0], distances=[5.0])
+        config["window"] = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}
+        config[key] = value
+        cfg = write_config(tmp_path, "t.json", config)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} has a bad value")
+
     @pytest.mark.parametrize("command", ["simulate", "capacity", "iterate"])
     def test_window_must_be_a_polygon_with_area(self, tmp_path, command):
         square = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}

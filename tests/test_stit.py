@@ -1051,25 +1051,25 @@ class TestPinnedIterateReports:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _closed_form_document() -> bytes:
-    """Closed-form sweeps and masses as bytes: CSV text and float reprs."""
+def _closed_form_parts() -> dict[str, bytes]:
+    """Closed-form sweeps and masses by part, as bytes: CSV text and float reprs."""
     distances = (5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0)
     e1 = Direction(1.0, 0.0)
     diag = Direction(1.0, 1.0)
     vseg = ConvexPolygon(((0.0, -0.5), (0.0, 0.5)))
     perp = ConvexPolygon(((-0.5 * diag.y, 0.5 * diag.x), (0.5 * diag.y, -0.5 * diag.x)))
     disc = regular_polygon(64, circumradius=1.0)
-    sweeps = [
-        (vseg, e1, QUERY_MEASURES["isotropic"]),
-        (vseg, e1, QUERY_MEASURES["axis"]),
-        (perp, diag, QUERY_MEASURES["axis"]),
-        (box(0.0, 0.0, 1.0, 1.0), Direction(2.0, 1.0), QUERY_MEASURES["mixed"]),
-        (disc, e1, QUERY_MEASURES["isotropic"]),
-    ]
-    parts = [
-        sweep_to_csv(sweep(SweepConfig(body, body, u, distances, 1.0, measure)))
-        for body, u, measure in sweeps
-    ]
+    sweeps = {
+        "sweep vseg isotropic": (vseg, e1, "isotropic"),
+        "sweep vseg axis": (vseg, e1, "axis"),
+        "sweep perp axis": (perp, diag, "axis"),
+        "sweep square mixed": (box(0.0, 0.0, 1.0, 1.0), Direction(2.0, 1.0), "mixed"),
+        "sweep disc isotropic": (disc, e1, "isotropic"),
+    }
+    parts = {
+        name: sweep_to_csv(sweep(SweepConfig(body, body, u, distances, 1.0, QUERY_MEASURES[m]))).encode()
+        for name, (body, u, m) in sweeps.items()
+    }
     pairs = [
         (vseg, ConvexPolygon(((3.0, 0.2), (3.5, 1.7)))),
         (box(0.0, 0.0, 1.0, 1.0), regular_polygon(5, 0.7, (2.5, -1.5))),
@@ -1079,21 +1079,40 @@ def _closed_form_document() -> bytes:
     ]
     for name in ("axis", "mixed"):
         measure = QUERY_MEASURES[name]
-        for a, b in pairs:
+        for i, (a, b) in enumerate(pairs):
             values = (
                 hit_mass(measure, a),
                 separating_mass(measure, a, b),
                 double_hit_mass(measure, a, b),
             )
-            parts.append(" ".join(map(repr, values)))
-    return "\n".join(parts).encode()
+            parts[f"masses {name} {i}"] = " ".join(map(repr, values)).encode()
+    return parts
+
+
+PINNED_CLOSED_FORMS = {
+    "sweep vseg isotropic": "8c55ed7da190cd079e274844e25ff6fc51e3135b0a70ad6a206586a8bce44a63",
+    "sweep vseg axis": "6dac2ae747381689d1d6f4d981a1c5a33dde00a2879b6d61051c7e3047f66edd",
+    "sweep perp axis": "0399743c5e829c215d7c77451e786a58cf85749e6914ea481468fbd3998a14a0",
+    "sweep square mixed": "ee0b47d4962ee1fc2ad5e3913f9a205860faeb89398be50d12a289fc0b5ccff9",
+    "sweep disc isotropic": "6d94b4efc4740aa385b02060ee73e4309b58c4c9c9a645d09e346da803cc450f",
+    "masses axis 0": "035ce607d90c2ded8fd7b231563f7eee60c06489cb33967bfac411061567fb8c",
+    "masses axis 1": "0d6de375382c92f0f1a67019b477a2a7446dc9c0a1388f388097f18d55343793",
+    "masses axis 2": "9e2ceefc79b971a2013b2b901e8a8a23fc5e051806879d729378df3a1ee9d2ba",
+    "masses axis 3": "bc446b485803f170781afacd618af26e9ae418d3ef35eb4fe17a00a74b624539",
+    "masses axis 4": "2f12ad70712974e958ffde763200adf7c1fda98853dbdfd94c104cd1e45739dd",
+    "masses mixed 0": "20b9e9dd92485273398cb900cf8cd0e1f714eb1ccfcaa9770b8b17751ee7e5d2",
+    "masses mixed 1": "c2236fa78243e17da6623864f331c2fe4f1b3a4172c10330b71c3b9d2dfaec16",
+    "masses mixed 2": "997253eb0111b14b2d7dc3f9c09974f4da83a91a23e211d8969eafe1d52fa792",
+    "masses mixed 3": "53f1e90f5319e1e2f05dd17624d29ecec66998e673f1c19ed5e9c5291221c50e",
+    "masses mixed 4": "8925d2ce8c83b5469bf9b9257b23226da50ce4edc3ceb09bbd664f796a40bbd8",
+}
 
 
 class TestPinnedClosedForms:
-    """Closed-form sweeps and masses recorded before the projection helpers
-    were merged: a change to the r >= 0 cut or to the projection order of
-    operations shows here as a changed digest."""
+    """Closed-form sweeps and masses, one digest per part: a change to the
+    r >= 0 cut, the projection order of operations or the separating mass
+    shows here as the changed digests of exactly the parts it reaches."""
 
     def test_sweeps_and_masses(self):
-        digest = hashlib.sha256(_closed_form_document()).hexdigest()
-        assert digest == "e6a7efb24d3426214d8ea8b1d61dc420301ec3bf4b806b28bc6a1d28d9044455"
+        digests = {name: hashlib.sha256(part).hexdigest() for name, part in _closed_form_parts().items()}
+        assert digests == PINNED_CLOSED_FORMS
