@@ -50,6 +50,8 @@ def _bernoulli(successes: int, n: int, seed: int) -> Estimate:
 
 def pool(estimates: Sequence[Estimate]) -> Estimate:
     """Merge independent estimates by pooling counts (order-independent)."""
+    if not estimates:
+        raise ValueError("need at least one estimate")
     n = sum(e.n for e in estimates)
     successes = round(sum(e.mean * e.n for e in estimates))
     return _bernoulli(successes, n, mix_seed(*sorted(e.seed for e in estimates)))

@@ -181,6 +181,9 @@ def cmd_capacity(args) -> int:
     n = args.n if args.n is not None else _parse(config, "n", int)
     a = _parse(config, "a", float)
     window = parse_window(config["window"]) if "window" in config else None
+    query_id = str(config.get("id", "query"))
+    if any(c in query_id for c in ',"\r\n'):
+        raise BadInput(f"config key 'id' has a bad value {query_id!r}: a CSV field holds no comma, quote or line break")
     est = mc_missing(body, a, measure, n, seed, window=window)
     analytic = missing_probability(body, a, measure) if body.connected else None
     resolved = {**config, "seed": seed, "n": n}
@@ -189,7 +192,7 @@ def cmd_capacity(args) -> int:
     lines.append(
         ",".join(
             [
-                str(config.get("id", "query")),
+                query_id,
                 repr(a),
                 str(n),
                 repr(est.mean),

@@ -106,65 +106,70 @@ def _perp_distance(p: Point, a: Point, b: Point) -> float:
     return abs(ex * (p[1] - ay) - ey * (p[0] - ax)) / n
 
 
-def _canonical_loop(points: Sequence[Point], ccw: bool = False) -> tuple[Point, ...]:
-    """Tidy a convex vertex loop: dedupe, orient CCW, strip collinear vertices.
+def _canonical_loop(
+    points: Sequence[Point], kept: Sequence[bool] = (), ccw: bool = False
+) -> tuple[tuple[Point, ...], float | None]:
+    """Tidy a convex loop of finite floats: dedupe, orient CCW, strip collinear vertices.
 
     Collapses nearly-collinear loops to a segment and coincident points to a
-    single point, using the module tolerance. Raises GeometryError for a
-    non-finite coordinate or when the tidied loop turns clockwise at a vertex
-    farther than EPS from the chord of its neighbours. With ``ccw`` the loop
-    is known to run counter-clockwise and is never reversed: the shoelace sum
-    about the origin can take the wrong sign for a loop of tiny area.
+    single point, using the module tolerance. Raises GeometryError when the
+    tidied loop turns clockwise at a vertex farther than EPS from the chord
+    of its neighbours. With ``ccw`` the loop is known to run
+    counter-clockwise and is never reversed: the shoelace sum about the
+    origin can take the wrong sign for a loop of tiny area. ``kept`` flags
+    the points whose two neighbours in ``points`` are their neighbours in a
+    canonical loop, where they passed the strip-and-turn test on the same
+    three floats; the test is skipped there unless a vertex was dropped or
+    the loop reversed.
+    Returns the loop and its perimeter, summed edge by edge from vertex 0,
+    or None for the perimeter unless the loop is the deduped points as given.
     """
-    pts: list[Point] = []
-    lx = ly = 0.0
-    for p in points:
-        x, y = float(p[0]), float(p[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GeometryError(f"vertex coordinates must be finite, got ({x}, {y})")
-        if not pts or math.hypot(x - lx, y - ly) > EPS:
-            pts.append((x, y))
-            lx, ly = x, y
-    while len(pts) > 1 and _dist(pts[0], pts[-1]) <= EPS:
-        pts.pop()
+    while True:
+        # Dedupe, shoelace sum and perimeter in one pass.
+        lx, ly = x0, y0 = points[0]
+        pts = [points[0]]
+        area2 = per = 0.0
+        for p in points[1:]:
+            x, y = p
+            d = math.hypot(x - lx, y - ly)
+            if d > EPS:
+                pts.append(p)
+                per += d
+                area2 += lx * y - ly * x
+                lx, ly = x, y
+        d = math.hypot(x0 - lx, y0 - ly)
+        if d > EPS or len(pts) == 1:
+            break
+        # The last vertex lies within EPS of the first: drop it and sum again.
+        points, kept = pts[:-1], None
+    if len(pts) < len(points):
+        kept = None
+    per += d
+    area2 += lx * y0 - ly * x0
     if len(pts) < 3:
-        return tuple(pts)
+        return tuple(pts), per
 
-    # Shoelace sum (in vertex order) and bounding box in one pass.
-    x0, y0 = pts[0]
-    xmin = xmax = px = x0
-    ymin = ymax = py = y0
-    area2 = 0.0
-    for qx, qy in pts[1:]:
-        area2 += px * qy - py * qx
-        if qx < xmin:
-            xmin = qx
-        elif qx > xmax:
-            xmax = qx
-        if qy < ymin:
-            ymin = qy
-        elif qy > ymax:
-            ymax = qy
-        px, py = qx, qy
-    area2 += px * y0 - py * x0
-    spread = math.hypot(xmax - xmin, ymax - ymin)
     # A loop within EPS of a line spans at most a 2*EPS-wide strip, so its
     # doubled area is below 4*EPS*diameter; larger loops skip the collapse.
-    if abs(area2) <= 4.0 * EPS * spread:
-        best = (0, 1)
-        best_d = -1.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = _dist(pts[i], pts[j])
-                if d > best_d:
-                    best_d = d
-                    best = (i, j)
-        a, b = pts[best[0]], pts[best[1]]
-        if all(_perp_distance(p, a, b) <= EPS for p in pts):
-            return (a, b) if best_d > EPS else (a,)
+    # That diameter, the bounding box's diagonal, is below perimeter/sqrt(2).
+    if abs(area2) <= 4.0 * EPS * per:
+        xmin, xmax, ymin, ymax = _bounds(pts)
+        if abs(area2) <= 4.0 * EPS * math.hypot(xmax - xmin, ymax - ymin):
+            best = (0, 1)
+            best_d = -1.0
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    d = _dist(pts[i], pts[j])
+                    if d > best_d:
+                        best_d = d
+                        best = (i, j)
+            a, b = pts[best[0]], pts[best[1]]
+            if all(_perp_distance(p, a, b) <= EPS for p in pts):
+                return ((a, b) if best_d > EPS else (a,)), None
 
     if area2 < 0.0 and not ccw:
         pts.reverse()
+        kept = per = None
 
     # One scan for the distance of each vertex q = pts[i] from the chord of
     # its neighbours p, r and the turn p -> q -> r. The first vertex within
@@ -179,24 +184,26 @@ def _canonical_loop(points: Sequence[Point], ccw: bool = False) -> tuple[Point, 
         px, py = pts[start - 1]
         qx, qy = pts[start]
         for i, (rx, ry) in enumerate(pts[start + 1 :] + pts[:1], start):
-            ex, ey = rx - px, ry - py
-            ln = math.hypot(ex, ey)
-            if ln == 0.0:
-                dist = math.hypot(qx - px, qy - py)
-            else:
-                dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
-            if dist <= EPS:
-                break
-            if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
-                clockwise = True
+            if not (kept and kept[i]):
+                ex, ey = rx - px, ry - py
+                ln = math.hypot(ex, ey)
+                if ln == 0.0:
+                    dist = math.hypot(qx - px, qy - py)
+                else:
+                    dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
+                if dist <= EPS:
+                    break
+                if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
+                    clockwise = True
             px, py, qx, qy = qx, qy, rx, ry
         else:
             if clockwise:
                 raise GeometryError("vertex chain is not convex")
-            return tuple(pts)
+            return tuple(pts), per
         pts.pop(i)
+        kept = per = None
         if len(pts) < 3:
-            return tuple(pts)
+            return tuple(pts), per
         if clockwise or not 0 < i < len(pts):
             start = 0
             clockwise = False
@@ -218,7 +225,7 @@ class ConvexPolygon:
     def __post_init__(self) -> None:
         if len(self.vertices) == 0:
             raise GeometryError("polygon needs at least one vertex")
-        object.__setattr__(self, "vertices", _canonical_loop(self.vertices))
+        object.__setattr__(self, "vertices", _canonical_loop(_finite(self.vertices))[0])
 
     @property
     def pieces(self) -> tuple[ConvexPolygon]:
@@ -241,6 +248,28 @@ class ConvexPolygon:
     @property
     def connected(self) -> bool:
         return True
+
+
+def _finite(points: Iterable[Point]) -> list[Point]:
+    """The points as float pairs; raises GeometryError for a non-finite coordinate."""
+    pts = []
+    for x, y in points:
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"vertex coordinates must be finite, got ({x}, {y})")
+        pts.append((x, y))
+    return pts
+
+
+def _canonicalise(
+    poly: ConvexPolygon, points: Sequence[Point], kept: Sequence[bool] = (), ccw: bool = False
+) -> ConvexPolygon:
+    """Give ``poly`` the ``_canonical_loop`` of ``points`` and, when that comes back, its perimeter."""
+    verts, per = _canonical_loop(points, kept, ccw)
+    object.__setattr__(poly, "vertices", verts)
+    if per is not None:
+        object.__setattr__(poly, "_perimeter", per)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -292,11 +321,11 @@ def _is_connected(pieces: Sequence[ConvexPolygon]) -> bool:
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Minimal convex polygon containing the input points (monotone chain)."""
-    pts = sorted({(float(x), float(y)) for x, y in points})
+    pts = sorted(set(_finite(points)))
     if not pts:
         raise GeometryError("empty point set")
     if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
+        return _canonicalise(object.__new__(ConvexPolygon), pts)
 
     def half(seq: Sequence[Point]) -> list[Point]:
         out: list[Point] = []
@@ -314,38 +343,38 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     upper = half(pts[::-1])
     # The chain turns left at every vertex, each turn taken from differences
     # of nearby points, so its orientation is known.
-    hull = object.__new__(ConvexPolygon)
-    object.__setattr__(hull, "vertices", _canonical_loop(lower[:-1] + upper[:-1], ccw=True))
-    return hull
+    return _canonicalise(object.__new__(ConvexPolygon), lower[:-1] + upper[:-1], ccw=True)
 
 
 def _clip_loop(
     verts: Sequence[Point], s: Sequence[float], tol: float
-) -> tuple[list[Point], list[int]]:
+) -> tuple[list[Point], list[bool]]:
     """Clip a convex vertex loop to the side where the offsets ``s`` are >= 0.
 
     ``s[i]`` is vertex i's offset from the cutting line, positive on the
     kept side, and vertices within ``tol`` of the line are kept on both
-    sides. Returns the kept loop and, per output vertex, its index in
-    ``verts``, or -1 for a new one.
+    sides. Returns the kept loop and, per output vertex, a flag set where
+    it is an input vertex kept with both its input neighbours: a new point
+    goes only where an offset is below -tol, so those stay its neighbours.
     """
     n = len(verts)
+    lo = -tol
     loop: list[Point] = []
-    src: list[int] = []
-    si = s[0]
+    kept: list[bool] = []
+    sh, si = s[-1], s[0]
     for i in range(n):
         j = i + 1 if i + 1 < n else 0
         sj = s[j]
-        if si >= -tol:
+        if si >= lo:
             loop.append(verts[i])
-            src.append(i)
-        if (si > tol and sj < -tol) or (si < -tol and sj > tol):
+            kept.append(sh >= lo and sj >= lo)
+        if (si > tol and sj < lo) or (si < lo and sj > tol):
             t = si / (si - sj)
             (xi, yi), (xj, yj) = verts[i], verts[j]
             loop.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-            src.append(-1)
-        si = sj
-    return loop, src
+            kept.append(False)
+        sh, si = si, sj
+    return loop, kept
 
 
 def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | None:
@@ -364,68 +393,7 @@ def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | N
     s = [sign * (x * ux + y * uy - r) for x, y in verts]
     if max(s) <= EPS:
         return None
-    loop, src = _clip_loop(verts, s, EPS)
-    return _canonical_child(verts, loop, src) or ConvexPolygon(tuple(loop))
-
-
-def _canonical_child(
-    parent: tuple[Point, ...], loop: list[Point], src: list[int]
-) -> ConvexPolygon | None:
-    """The polygon on ``loop``, a clip of ``parent``, if ``_canonical_loop`` would keep it as is.
-
-    None when a check fires (a vertex within EPS of the last, a loop thin
-    enough to test for collapse, a clockwise loop, a vertex within EPS of
-    its neighbours' chord or a clockwise turn): the caller then runs the
-    full ``_canonical_loop``. The checks repeat that function's arithmetic
-    on the same floats. The strip-and-turn scan runs only at vertices that
-    are new or have a new neighbour: at every other vertex the parent, a
-    canonical loop, passed it on the same three points (a parent of one or
-    two vertices leaves no such vertex in a loop of three or more).
-    """
-    m = len(loop)
-    if m < 3:
-        return None
-    # Dedupe and shoelace as _canonical_loop computes them. The bounding
-    # box's diagonal is below perimeter / sqrt(2), so a loop that clears the
-    # collapse bound with the perimeter in its place clears it.
-    x0, y0 = loop[0]
-    px, py = loop[-1]
-    last = math.hypot(x0 - px, y0 - py)
-    if last <= EPS:
-        return None
-    per = area2 = 0.0
-    px, py = x0, y0
-    for qx, qy in loop[1:]:
-        d = math.hypot(qx - px, qy - py)
-        if d <= EPS:
-            return None
-        per += d
-        area2 += px * qy - py * qx
-        px, py = qx, qy
-    area2 += px * y0 - py * x0
-    per += last
-    if area2 <= 4.0 * EPS * per:
-        return None
-
-    n = len(parent)
-    for k in range(m):
-        i = src[k]
-        prev, nxt = src[k - 1], src[k + 1 if k + 1 < m else 0]
-        if i >= 0 and prev == (i - 1) % n and nxt == (i + 1) % n:
-            continue
-        (px, py), (qx, qy), (rx, ry) = loop[k - 1], loop[k], loop[k + 1 if k + 1 < m else 0]
-        ex, ey = rx - px, ry - py
-        ln = math.hypot(ex, ey)
-        if ln == 0.0:
-            dist = math.hypot(qx - px, qy - py)
-        else:
-            dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
-        if dist <= EPS or (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
-            return None
-    poly = object.__new__(ConvexPolygon)
-    object.__setattr__(poly, "vertices", tuple(loop))
-    object.__setattr__(poly, "_perimeter", per)
-    return poly
+    return _canonicalise(object.__new__(ConvexPolygon), *_clip_loop(verts, s, EPS))
 
 
 def polygon_intersection(poly: ConvexPolygon, window: ConvexPolygon) -> ConvexPolygon | None:
@@ -564,8 +532,9 @@ def area(poly: ConvexPolygon) -> float:
 def perimeter(poly: ConvexPolygon) -> float:
     """Boundary length; a segment's boundary is traversed both ways (2L).
 
-    Computed once per polygon; ``clip`` hands its children the sum it forms
-    anyway, in the same order.
+    Summed edge by edge from vertex 0, once per polygon. The canonicaliser
+    forms this sum in its dedupe pass, and ``clip`` and ``convex_hull``
+    hand it to their polygon whenever the loop stays as deduped.
     """
     return poly._perimeter
 

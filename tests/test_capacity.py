@@ -105,6 +105,10 @@ class TestEstimate:
         assert math.isclose(merged.mean, (50 + 50) / 300)
         assert pool([b, a]).mean == merged.mean
 
+    def test_pool_needs_an_estimate(self):
+        with pytest.raises(ValueError, match="need at least one estimate"):
+            pool([])
+
 
 class TestMcMissing:
     def test_time_zero_exact_one(self, iso, unit_square):

@@ -297,6 +297,13 @@ class TestBadInput:
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} has a bad value")
 
+    @pytest.mark.parametrize("query_id", ["sq,\nrow", "a,b", 'a"b', "a\rb", "a\nb"])
+    def test_capacity_id_must_fit_one_csv_field(self, tmp_path, capsys, query_id):
+        config = {"measure": ISO_MEASURE, "set": "unit_square", "a": 0.5, "n": 2, "seed": 1, "id": query_id}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["capacity", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key 'id' has a bad value {query_id!r}")
+
     @pytest.mark.parametrize("command", ["simulate", "capacity", "iterate"])
     def test_window_must_be_a_polygon_with_area(self, tmp_path, command):
         square = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stitlab.geometry as geometry
 from conftest import assert_check, random_convex_polygon, random_direction, rotate
 from stitlab.geometry import (
     CompactSet,
@@ -24,6 +23,7 @@ from stitlab.geometry import (
     contains_point,
     convex_hull,
     _canonical_loop,
+    _clip_loop,
     _perp_distance,
     diameter,
     dilate,
@@ -500,6 +500,16 @@ def reference_canonical_loop(points):
     return tuple(pts)
 
 
+def canonical_loop(points):
+    """``_canonical_loop``'s vertices, once a perimeter it returns is checked
+    to be their edge sum from vertex 0."""
+    verts, per = _canonical_loop(points)
+    if per is not None:
+        expected = 0.0 if len(verts) == 1 else sum(_dist(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
+        assert repr(per) == repr(expected)
+    return verts
+
+
 def outcome(fn, points):
     try:
         return repr(fn(points))
@@ -619,22 +629,22 @@ class TestCanonicalLoopMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(convex_loops())
     def test_convex_loops(self, pts):
-        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == outcome(reference_canonical_loop, pts)
 
     @settings(max_examples=400, deadline=None)
     @given(perturbed_loops())
     def test_duplicates_jitter_and_non_convex_chains(self, pts):
-        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == outcome(reference_canonical_loop, pts)
 
     @settings(max_examples=300, deadline=None)
     @given(near_collinear_loops())
     def test_near_collinear_slivers(self, pts):
-        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == outcome(reference_canonical_loop, pts)
 
     @settings(max_examples=500, deadline=None)
     @given(loops_with_inserted_vertices())
     def test_resumed_strips_match_restarted(self, pts):
-        assert outcome(_canonical_loop, pts) == outcome(reference_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == outcome(reference_canonical_loop, pts)
 
     def test_strip_of_last_vertex_rechecks_first(self):
         # Two vertices near the triangle's closing edge, one first and one
@@ -642,21 +652,21 @@ class TestCanonicalLoopMatchesReference:
         # 4.5e-10; stripping the last brings the first to 9.0e-10.
         pts = [(-1.16569288575892, -6.446515794316754), (10.0, 0.0), (-4.999999999999998, 8.660254037844387),
                (-5.000000000000004, -8.660254037844384), (-3.923186885658163, -8.038555696181032)]
-        assert _canonical_loop(pts) == tuple(pts[1:4])
-        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
+        assert canonical_loop(pts) == tuple(pts[1:4])
+        assert outcome(reference_canonical_loop, pts) == outcome(canonical_loop, pts)
 
     def test_non_convex_chain_raises(self):
         pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.2), (2.0, 2.0), (0.0, 2.0)]
-        assert outcome(_canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
-        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
+        assert outcome(reference_canonical_loop, pts) == outcome(canonical_loop, pts)
         with pytest.raises(GeometryError, match="not convex"):
             ConvexPolygon(tuple(pts))
 
     def test_dent_far_from_origin_raises(self):
         # A dent of 1.5e-8 > EPS at coordinates ~1e8, where one ulp is 1.5e-8.
         pts = [(1e8, 1e8), (1e8 + 4.0, 1e8), (1e8 + 4.0, 1e8 + 4.0), (1e8 + 2.0, 1e8 + 4.0 - 1.5e-8), (1e8, 1e8 + 4.0)]
-        assert outcome(_canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
-        assert outcome(reference_canonical_loop, pts) == outcome(_canonical_loop, pts)
+        assert outcome(canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
+        assert outcome(reference_canonical_loop, pts) == outcome(canonical_loop, pts)
 
     @settings(max_examples=200, deadline=None)
     @given(convex_loops())
@@ -751,8 +761,9 @@ def polygon_cuts(draw):
 
 
 class TestClipMatchesReference:
-    """clip's local canonicalisation gives the full path's vertices, bit for
-    bit, its perimeter, and its error."""
+    """clip, which skips the strip-and-turn test at the vertices it kept
+    whole, gives the full canonicalisation's vertices, bit for bit, its
+    perimeter, and its error."""
 
     @settings(max_examples=600, deadline=None)
     @given(polygon_cuts(), st.sampled_from(["minus", "plus"]))
@@ -760,26 +771,18 @@ class TestClipMatchesReference:
         poly, plane = cut
         assert clip_outcome(clip, poly, plane, side) == clip_outcome(reference_clip, poly, plane, side)
 
-    @pytest.mark.parametrize("offset,some_fall_back", [(1e4, False), (1e6, True), (1e8, True)])
-    def test_far_from_origin(self, offset, some_fall_back, monkeypatch):
-        # From 1e6 on, rounding trips the local checks on some of these cuts
-        # (at 1e4 on about 2 in 10^4 clips); those run the full canonicalisation,
-        # which may also raise.
-        full = []
-        original = geometry._canonical_loop
-        monkeypatch.setattr(geometry, "_canonical_loop", lambda pts: full.append(1) or original(pts))
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_far_from_origin(self, offset):
+        # From 1e6 on, rounding makes a few of these cuts raise; clip must
+        # raise exactly where the full canonicalisation does.
         rng = np.random.default_rng(17)
-        fallbacks = 0
         poly = box(offset, offset, offset + 4.0, offset + 4.0)
         for _ in range(300):
             u = Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
             lo, hi = projection_bounds(poly.vertices, u.x, u.y)
             plane = line_at(u, lo + rng.uniform(0.0, 1.0) * (hi - lo))
             for side in ("minus", "plus"):
-                before = len(full)
-                local = clip_outcome(clip, poly, plane, side)
-                fallbacks += len(full) - before
-                assert local == clip_outcome(reference_clip, poly, plane, side)
+                assert clip_outcome(clip, poly, plane, side) == clip_outcome(reference_clip, poly, plane, side)
             try:
                 out = clip(poly, plane, "minus")
             except GeometryError:
@@ -789,25 +792,47 @@ class TestClipMatchesReference:
                 poly = out
             else:
                 poly = box(offset, offset, offset + 4.0, offset + 4.0)
-        assert (fallbacks > 0) >= some_fall_back
 
-    def test_many_inherited_vertices(self, monkeypatch):
+    def test_many_inherited_vertices(self):
         # Cuts of a 64-gon keep long runs of vertices whose neighbours are
-        # unchanged, which the local scan skips; none needs the full path.
+        # unchanged, which the scan skips: only the new points and their
+        # neighbours are left unflagged.
         gon = regular_polygon(64, 10.0, (3.0, -2.0))
-        full = []
-        original = geometry._canonical_loop
-        monkeypatch.setattr(geometry, "_canonical_loop", lambda pts: full.append(1) or original(pts))
         rng = np.random.default_rng(23)
         for _ in range(200):
             u = Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
             lo, hi = projection_bounds(gon.vertices, u.x, u.y)
             plane = line_at(u, lo + rng.uniform(0.0, 1.0) * (hi - lo))
-            for side in ("minus", "plus"):
-                local = clip_outcome(clip, gon, plane, side)
-                assert not full
-                assert local == clip_outcome(reference_clip, gon, plane, side)
-                full.clear()
+            for side, sign in (("minus", -1.0), ("plus", 1.0)):
+                s = [sign * plane.offset(v) for v in gon.vertices]
+                _, kept = _clip_loop(gon.vertices, s, 1e-9)
+                assert kept.count(False) <= 4
+                assert clip_outcome(clip, gon, plane, side) == clip_outcome(reference_clip, gon, plane, side)
+
+    @settings(max_examples=600, deadline=None)
+    @given(polygon_cuts(), st.sampled_from(["minus", "plus"]))
+    def test_flags_mark_parent_vertices_between_their_parent_neighbours(self, cut, side):
+        # The flag rule on offsets against the rule on indices: a parent
+        # vertex whose two parent neighbours are its neighbours in the child.
+        poly, plane = cut
+        verts = poly.vertices
+        sign = 1.0 if side == "plus" else -1.0
+        s = [sign * plane.offset(v) for v in verts]
+        _, kept = _clip_loop(verts, s, 1e-9)
+        # Each output vertex's index in the parent, or -1 for a new point.
+        n = len(verts)
+        src = []
+        for i in range(n):
+            si, sj = s[i], s[(i + 1) % n]
+            if si >= -1e-9:
+                src.append(i)
+            if (si > 1e-9 and sj < -1e-9) or (si < -1e-9 and sj > 1e-9):
+                src.append(-1)
+        m = len(src)
+        assert len(kept) == m
+        for k in range(m):
+            i, prev, nxt = src[k], src[k - 1], src[(k + 1) % m]
+            assert kept[k] == (i >= 0 and prev == (i - 1) % n and nxt == (i + 1) % n)
 
 
 class TestProjectionBounds:
