@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Protocol
 
 from .geometry import (
     CompactSet,
     ConvexPolygon,
+    EPS,
     Direction,
+    GeometryError,
     Hyperplane,
+    _YX,
+    _canonical_loop,
     _joint_hull,
+    _polygon,
     convex_hull,
     hull_of,
     perimeter,
@@ -199,21 +203,25 @@ def _separating_atoms(measure: DirectionalMeasure, atoms_a: list, atoms_b: list)
     )
 
 
-# A vertex's (y, x): the lowest vertex is the first in this order, the highest the last.
-_YX = itemgetter(1, 0)
-
-
 def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Hull of {p - q : p in a, q in b}, the Minkowski sum of a and -b, in O(n + m).
 
     An edge merge: walk a's edges from its lowest vertex and -b's from its
     lowest (b's highest) in angular order, advancing the edge that turns
     first by the sign of their cross product (both when parallel), and
-    emit the difference of the current vertices at each step. The at most
-    n + m points include every vertex of the exact difference hull, and
-    ``convex_hull`` picks the loop's start, orientation and collinear
-    points from them as it would from all of them. Points and segments are
-    loops with zero-length or doubled-back edges, so they take the same walk.
+    emit the difference of the current vertices at each step. Points and
+    segments are loops with zero-length or doubled-back edges, so they
+    take the same walk. The at most n + m points include every vertex of
+    the exact difference hull, and the result is ``convex_hull`` of them.
+
+    Two edges that point the same way, with a cross product that puts the
+    point between them within EPS / 2 of the chord, advance together: a
+    translate's edges are parallel only up to rounding, and the
+    canonicaliser would strip that point. The emitted loop, started at its
+    lexicographic minimum, is the loop ``convex_hull`` builds when the
+    canonicaliser hands it back whole and no left-out point is that
+    minimum; otherwise, and when the loop has fewer than three points, the
+    hull comes from ``convex_hull`` of every point, left out or not.
     """
     av, bv = a.vertices, b.vertices
     n, m = len(av), len(bv)
@@ -222,6 +230,8 @@ def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     k = bv.index(max(bv, key=_YX))
     bv = bv[k:] + bv[: k + 1]
     pts = []
+    skipped = []
+    tol = 0.25 * EPS * EPS
     i = j = 0
     while i < n or j < m:
         (px, py), (qx, qy) = av[i], bv[j]
@@ -232,15 +242,33 @@ def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
             i += 1
         else:
             # a's edge times -b's edge (q - q_next): positive when a's turns first.
-            cross = (av[i + 1][0] - px) * (qy - bv[j + 1][1]) - (av[i + 1][1] - py) * (qx - bv[j + 1][0])
-            if cross > 0.0:
+            (rx, ry), (sx, sy) = av[i + 1], bv[j + 1]
+            ax, ay, bx, by = rx - px, ry - py, qx - sx, qy - sy
+            cross = ax * by - ay * bx
+            dot = ax * bx + ay * by
+            if cross == 0.0:
                 i += 1
-            elif cross < 0.0:
                 j += 1
+            elif dot > 0.0 and cross * cross <= tol * (ax * ax + ay * ay + bx * bx + by * by + dot + dot):
+                # The point between lies |cross| / |a's edge + -b's edge| from the chord.
+                skipped.append((rx - qx, ry - qy) if cross > 0.0 else (px - sx, py - sy))
+                i += 1
+                j += 1
+            elif cross > 0.0:
+                i += 1
             else:
-                i += 1
                 j += 1
-    return convex_hull(pts)
+    start = min(pts)
+    if len(pts) > 2 or not skipped:
+        k = pts.index(start)
+        loop = pts[k:] + pts[:k]
+        try:
+            verts, per = _canonical_loop(loop, ccw=True)
+        except GeometryError:
+            verts = ()
+        if len(verts) == len(loop) and per is not None and not (skipped and min(skipped) < start):
+            return _polygon(verts, per)
+    return convex_hull(pts + skipped)
 
 
 def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -318,8 +346,9 @@ def _pair_terms(
     ``hulls``, if given, are ``hull_of(a)`` and ``hull_of(b)``, already built.
     Atom lengths come from the laws' cut r-ranges. The isotropic part of c*
     is mass(a) + mass(b) - (mass(hull) - separating mass) from the laws'
-    perimeters, with rounding error about 1e-16 times the hull's mass. Sums
-    keep the order that seeded and pinned results depend on.
+    perimeters, with rounding error about 1e-16 times the hull's mass; it
+    is cut at 0, as the separating mass is, where that error leaves it
+    below. Sums keep the order that seeded and pinned results depend on.
     """
     if not (a.connected and b.connected):
         raise MeasureError("closed forms of two bodies require connected bodies")
@@ -338,7 +367,8 @@ def _pair_terms(
     if iso > 0.0:
         sep_iso = _separating_isotropic(measure, hull_a, hull_b)
         sep += sep_iso
-        both += iso / TWO_PI * per_a + iso / TWO_PI * per_b - (iso / TWO_PI * per - sep_iso)
+        shared = iso / TWO_PI * per_a + iso / TWO_PI * per_b - (iso / TWO_PI * per - sep_iso)
+        both += shared if shared > 0.0 else 0.0
     return _PairTerms(mass_a, mass_b, mass_hull, sep, both, hull)
 
 
@@ -351,7 +381,8 @@ def double_hit_mass(
 
     Each atom contributes the overlap of the two projection intervals on
     r >= 0, so that part is exactly zero when the projections are disjoint.
-    The isotropic part comes from inclusion-exclusion (``_pair_terms``).
+    The isotropic part comes from inclusion-exclusion (``_pair_terms``),
+    cut at 0, so the mass is never negative.
     """
     return _pair_terms(measure, a, b).both
 

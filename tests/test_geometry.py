@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_check, random_convex_polygon, random_direction, rotate
@@ -22,8 +22,11 @@ from stitlab.geometry import (
     clip_segment_to_polygon,
     contains_point,
     convex_hull,
+    _bridged,
     _canonical_loop,
+    _canonicalise,
     _clip_loop,
+    _joint_hull,
     _perp_distance,
     diameter,
     dilate,
@@ -668,6 +671,19 @@ class TestCanonicalLoopMatchesReference:
         assert outcome(canonical_loop, pts) == "GeometryError(vertex chain is not convex)"
         assert outcome(reference_canonical_loop, pts) == outcome(canonical_loop, pts)
 
+    @settings(max_examples=400, deadline=None)
+    @given(convex_loops())
+    def test_canonical_loop_comes_back_unchanged(self, pts):
+        # Canonicalising a polygon's own loop, known to run counter-clockwise,
+        # returns its vertices and perimeter.
+        try:
+            poly = ConvexPolygon(tuple(pts))
+        except GeometryError:
+            return
+        verts, per = _canonical_loop(poly.vertices, ccw=True)
+        assert verts == poly.vertices
+        assert repr(per) == repr(perimeter(poly))
+
     @settings(max_examples=200, deadline=None)
     @given(convex_loops())
     def test_perimeter_sums_left_to_right(self, pts):
@@ -900,6 +916,10 @@ class TestHitReach:
 
     @settings(max_examples=300, deadline=None)
     @given(slivers(), st.floats(0.0, 1.5), st.integers(0, 2), st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9))
+    @example(
+        piece=ConvexPolygon(((0.0, 0.0), (0.99999999995, -9.999999999833334e-06), (0.99999999995, 9.999999999833334e-06))),
+        s=0.998046875, k=0, jx=0.0, jy=0.0,
+    )
     def test_counted_points_lie_in_the_reach_box(self, piece, s, k, jx, jy):
         # Points between a vertex and its reach corner (and beyond): wherever
         # the predicate counts one, it lies in the reach box.
@@ -910,7 +930,115 @@ class TestHitReach:
         p = (vx + s * (cx - vx) + jx, vy + s * (cy - vy) + jy)
         if segment_hits_body(p, p, piece):
             assert in_box(p, reach_box(reach))
-        if s <= 0.999 and jx == jy == 0.0:
+        # The corner sits at the widened offset d over sin(theta/2);
+        # contains_point counts the points up to EPS over it.
+        d = 1e-9 * (1.0 + 2.0**-16) + 2.0**-44 * 40.0
+        if s * d <= 0.999 * 1e-9 and jx == jy == 0.0:
             assert contains_point(piece, p)
         if s >= 1.001 and jx == jy == 0.0:
             assert not contains_point(piece, p)
+
+
+# ---------------------------------------------------------------------------
+# The joint hull from two bridges against the monotone chain over both vertex lists
+
+
+def hull_outcome(fn, a, b):
+    """Vertices and perimeter (as reprs) of the hull fn(a, b), or the error."""
+    try:
+        out = fn(a, b)
+    except GeometryError as err:
+        return f"GeometryError({err})"
+    return repr(out.vertices), repr(perimeter(out))
+
+
+def chain_hull(a, b):
+    return convex_hull(list(a.vertices) + list(b.vertices))
+
+
+def bridged_hull(a, b):
+    """The hull from ``_bridged`` whatever the vertex count, or ``chain_hull`` where it declines."""
+    bridged = _bridged(a.vertices, b.vertices)
+    return chain_hull(a, b) if bridged is None else _canonicalise(*bridged, ccw=True)
+
+
+@st.composite
+def hull_bodies(draw, size):
+    """A point, segment, box, regular n-gon or random hull of the given size at the origin."""
+    kind = draw(st.sampled_from(["point", "segment", "box", "n-gon", "hull"]))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "point":
+        pts = [(0.0, 0.0)]
+    elif kind == "segment":
+        pts = [(0.0, 0.0), (math.cos(theta), math.sin(theta))]
+    elif kind == "box":
+        pts = box(0.0, 0.0, 1.0, draw(st.floats(0.05, 1.0))).vertices
+    elif kind == "n-gon":
+        pts = rotate(regular_polygon(draw(st.sampled_from([3, 5, 8, 17, 64]))), theta).vertices
+    else:
+        pts = convex_hull(draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=20))).vertices
+    try:
+        return ConvexPolygon(tuple((size * x, size * y) for x, y in pts))
+    except GeometryError:
+        return ConvexPolygon(((0.0, 0.0),))
+
+
+@st.composite
+def hull_pairs(draw):
+    """Two bodies apart, touching, overlapping or nested, or a box and its
+    translate along an axis, whose bridges run along the boxes' edges.
+
+    Sizes are 1e-4 to 30, and the pair is then moved by up to 1e7.
+    """
+    relation = draw(st.sampled_from(["apart", "touching", "overlapping", "nested", "along an axis"]))
+    sizes = st.sampled_from([1e-4, 1.0, 30.0])
+    a = draw(hull_bodies(draw(sizes)))
+    if relation == "along an axis":
+        w, h = draw(st.floats(1e-3, 30.0)), draw(st.floats(1e-3, 30.0))
+        a = box(0.0, 0.0, w, h)
+        step = draw(st.floats(0.0, 100.0))
+        b = translate(a, draw(st.sampled_from([(step, 0.0), (0.0, step), (-step, 0.0)])))
+    elif relation == "apart":
+        h, phi = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 2.0 * math.pi))
+        b = translate(draw(hull_bodies(draw(sizes))), (h * math.cos(phi), h * math.sin(phi)))
+    elif relation == "touching":
+        b = draw(hull_bodies(draw(sizes)))
+        (ax, ay), (bx, by) = draw(st.sampled_from(a.vertices)), draw(st.sampled_from(b.vertices))
+        b = translate(b, (ax - bx, ay - by))
+    else:
+        (vx, vy), t = a.vertices[0], draw(st.floats(0.1, 0.9))
+        cx = sum(x for x, _ in a.vertices) / len(a.vertices)
+        cy = sum(y for _, y in a.vertices) / len(a.vertices)
+        if relation == "overlapping":
+            b = translate(a, (t * (cx - vx), t * (cy - vy)))
+        else:
+            b = ConvexPolygon(tuple((cx + t * (x - cx), cy + t * (y - cy)) for x, y in a.vertices))
+    c = draw(st.sampled_from([0.0, 1e4, 1e7]))
+    move = (c + draw(st.floats(-50.0, 50.0)), -c + draw(st.floats(-50.0, 50.0)))
+    try:
+        return translate(a, move), translate(b, move)
+    except GeometryError:
+        return a, b
+
+
+class TestJointHull:
+    """The joint hull equals the monotone chain's hull of both vertex lists, vertex for vertex."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(hull_pairs())
+    def test_matches_chain_hull(self, pair):
+        a, b = pair
+        want = hull_outcome(chain_hull, a, b)
+        for x, y in ((a, b), (b, a)):
+            assert hull_outcome(_joint_hull, x, y) == want
+            assert hull_outcome(bridged_hull, x, y) == want
+
+    def test_bridges_taken_for_sweep_pairs(self):
+        # Boxes along an axis have bridges on their edges' lines; a 64-gon's
+        # translate touches its bridges at one vertex each.
+        for a, shift in ((box(0.0, 0.0, 1.0, 1.0), (3.5, 0.0)), (regular_polygon(64), (4.5, 0.0)),
+                         (ConvexPolygon(((0.0, 0.0), (0.0, 1.0))), (7.0, 0.0)), (box(0.0, 0.0, 1.0, 1.0), (2.0, 2.0))):
+            b = translate(a, shift)
+            assert _bridged(a.vertices, b.vertices) is not None
+            assert hull_outcome(bridged_hull, a, b) == hull_outcome(chain_hull, a, b)
