@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .capacity import _bernoulli, mc_missing, missing_probability
-from .checks import run_suite
 from .geometry import (
     CompactSet,
     ConvexPolygon,
@@ -263,6 +262,9 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Imported here: the suite and numpy, which only it needs, stay off every other command's path.
+    from .checks import run_suite
+
     try:
         results = run_suite(args.suite)
     except KeyError as exc:

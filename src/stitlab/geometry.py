@@ -432,7 +432,8 @@ def clip_segment_to_polygon(
         sa = a[0] * nx + a[1] * ny - c
         sd = dx * nx + dy * ny
         if abs(sd) < 1e-300:
-            if sa < -EPS:
+            # n has the edge's length, and so has the tolerance on sa: EPS in length units.
+            if sa < -EPS * math.hypot(nx, ny):
                 return None
             continue
         t = -sa / sd

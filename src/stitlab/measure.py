@@ -8,6 +8,10 @@ form: hitting mass of a convex body, separation rate between points, its
 exact minimum over all directions less a rounding bound, the masses of
 lines separating and of lines hitting both of two bodies, and exact
 sampling of lines hitting a window.
+
+Float totals are plain left-to-right additions, never ``sum``: from Python
+3.12 ``sum`` compensates floats, so it would round these closed forms
+differently from one Python version to the next.
 """
 
 from __future__ import annotations
@@ -87,10 +91,12 @@ class DirectionalMeasure:
             )
         eps = BALANCE_EPS
         for u, _ in atoms:
-            same, opposite = (
-                sum(w for v, w in atoms if abs(v.x - s * u.x) <= eps and abs(v.y - s * u.y) <= eps)
-                for s in (1.0, -1.0)
-            )
+            same = opposite = 0.0
+            for v, w in atoms:
+                if abs(v.x - u.x) <= eps and abs(v.y - u.y) <= eps:
+                    same += w
+                if abs(v.x + u.x) <= eps and abs(v.y + u.y) <= eps:
+                    opposite += w
             if abs(same - opposite) > eps * max(1.0, same, opposite):
                 raise MeasureError(
                     f"atom set is not antipodally balanced: direction ({u.x:.6g}, {u.y:.6g})"
@@ -99,7 +105,10 @@ class DirectionalMeasure:
 
     @property
     def total_mass(self) -> float:
-        return self.isotropic_mass + sum(w for _, w in self.atoms)
+        atoms = 0.0
+        for _, w in self.atoms:
+            atoms += w
+        return self.isotropic_mass + atoms
 
     def to_json(self) -> dict:
         return {
@@ -169,8 +178,10 @@ def separation_rate(measure: DirectionalMeasure, u: Direction) -> float:
     Equals half the nu-average of |<u, v>|; the isotropic component
     contributes exactly isotropic_mass / pi.
     """
-    atom = 0.5 * sum(w * abs(u.dot((v.x, v.y))) for v, w in measure.atoms)
-    return atom + measure.isotropic_mass / math.pi
+    atom = 0.0
+    for v, w in measure.atoms:
+        atom += w * abs(u.dot((v.x, v.y)))
+    return 0.5 * atom + measure.isotropic_mass / math.pi
 
 
 def min_separation_rate(measure: DirectionalMeasure) -> float:
@@ -197,10 +208,10 @@ def min_separation_rate(measure: DirectionalMeasure) -> float:
 
 def _separating_atoms(measure: DirectionalMeasure, atoms_a: list, atoms_b: list) -> float:
     """The atoms' part of ``separating_mass``: the gaps between the hulls' cut r-ranges."""
-    return sum(
-        w * ((b_lo - a_hi if b_lo > a_hi else 0.0) + (a_lo - b_hi if a_lo > b_hi else 0.0))
-        for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b)
-    )
+    total = 0.0
+    for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b):
+        total += w * ((b_lo - a_hi if b_lo > a_hi else 0.0) + (a_lo - b_hi if a_lo > b_hi else 0.0))
+    return total
 
 
 def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
@@ -291,8 +302,12 @@ def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: Conv
         # Edge i runs from vertex i to i + 1; O sees it when their cross product is negative.
         nxt = verts[1:] + verts[:1]
         seen = [x0 * y1 - y0 * x1 < 0.0 for (x0, y0), (x1, y1) in zip(verts, nxt)]
-        ends = sum(math.hypot(x, y) for i, (x, y) in enumerate(verts) if seen[i] != seen[i - 1])
-        chain = sum(math.hypot(x1 - x0, y1 - y0) for s, (x0, y0), (x1, y1) in zip(seen, verts, nxt) if s)
+        ends = chain = 0.0
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(verts, nxt)):
+            if seen[i] != seen[i - 1]:
+                ends += math.hypot(x0, y0)
+            if seen[i]:
+                chain += math.hypot(x1 - x0, y1 - y0)
     gap = ends - chain
     return measure.isotropic_mass / TWO_PI * gap if gap > 0.0 else 0.0
 

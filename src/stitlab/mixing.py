@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .capacity import Estimate, _growth_bound, _missing, default_window, mc_joint
 from .geometry import EPS, CompactSet, ConvexPolygon, Direction, _bounds, hull_of, piece_distance, translate
 from .measure import DirectionalMeasure, _hitting_law, _pair_terms, _PairTerms, separation_rate
@@ -217,6 +215,8 @@ def fit_decay_exponent(rows: list[MixingRow]) -> tuple[float, float, float]:
     when exp(-t d) still outweighs c* (1 - exp(-t d)) / d; in neither case
     does a power law describe the rows.
     """
+    import numpy as np  # only the fit needs numpy, so importing the package does not load it
+
     usable = [r for r in rows if not r.overlap and r.ratio_minus_one is not None]
     if len(usable) < 2:
         raise ValueError("need at least two usable rows to fit a decay exponent")

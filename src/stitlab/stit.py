@@ -223,7 +223,10 @@ def _divisions(
             if minus is not None and plus is not None:
                 break
         else:
-            raise RuntimeError("could not draw a dividing line for a cell")
+            raise GeometryError(
+                f"could not draw a dividing line for cell {label} at t={death:.6g}:"
+                " 64 lines each left a child thinner than EPS"
+            )
 
         yield death, chord(poly, plane)
         spawn(2 * label, minus, death)
@@ -236,7 +239,8 @@ def simulate(params: SimulationParams) -> Tessellation:
     Each cell dies at rate equal to its own hitting mass and is divided by a
     line drawn from its own hitting law, so both children are non-empty.
     ``cells`` holds the cells alive at the time parameter, sorted by label;
-    a cell's parent is its label halved.
+    a cell's parent is its label halved. A cell that 64 drawn lines all
+    fail to divide into two children thicker than EPS raises GeometryError.
     """
     live: list = []
     edges = [Edge(cut[0], cut[1], death) for death, cut in _divisions(params, live) if cut is not None]
@@ -426,9 +430,13 @@ class QueryBody:
 
 
 def _bounding_circle(verts: Sequence[Point]) -> tuple[float, float, float]:
-    """(cx, cy, radius): the vertex mean and the largest distance from it."""
-    cx = sum([x for x, _ in verts]) / len(verts)
-    cy = sum([y for _, y in verts]) / len(verts)
+    """(cx, cy, radius): the vertex mean, summed left to right, and the largest distance from it."""
+    sx = sy = 0.0
+    for x, y in verts:
+        sx += x
+        sy += y
+    cx = sx / len(verts)
+    cy = sy / len(verts)
     return cx, cy, max([math.hypot(x - cx, y - cy) for x, y in verts])
 
 

@@ -106,6 +106,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
         assert read_tessellation_file(str(out_a)) != read_tessellation_file(str(out_b))
 
+    def test_undividable_cell_exits_2_with_a_message(self, tmp_path, capsys):
+        side = 4.0 * 2.0**-30
+        cfg = write_config(
+            tmp_path,
+            "s.json",
+            {
+                "measure": ISO_MEASURE,
+                "window": {"vertices": [[0, 0], [side, 0], [side, side], [0, side]]},
+                "a": 2.0**30,
+                "seed": 0,
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "error: could not draw a dividing line" in capsys.readouterr().err
+
 
 class TestCapacityCommand:
     def config(self, tmp_path, **overrides):

@@ -373,6 +373,16 @@ class TestIntersectionAndContainment:
         assert seg is not None
         assert math.isclose(seg[0][0], 0.0) and math.isclose(seg[1][0], 1.0)
 
+    def test_segment_clip_parallel_tolerance_is_in_length_units(self):
+        # A segment parallel to an edge is kept within EPS of it and dropped
+        # beyond, however long that edge is.
+        seg = ((2.0, -5e-10), (8.0, -5e-10))
+        assert clip_segment_to_polygon(*seg, box(0, 0, 10, 10)) == seg
+        small = box(0, 0, 0.01, 0.01)
+        a, b = (0.002, -5e-9), (0.008, -5e-9)
+        assert interior_clearance(small, (a, b)) == pytest.approx(-5e-9)
+        assert clip_segment_to_polygon(a, b, small) is None
+
     def test_contains_point(self, unit_square):
         assert contains_point(unit_square, (0.5, 0.5))
         assert contains_point(unit_square, (1.0, 1.0))

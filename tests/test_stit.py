@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_check, centroid, rotate
+from conftest import assert_check, centroid, random_convex_polygon, rotate
 import stitlab.checks as checks
 import stitlab.stit as stit_mod
 from stitlab.capacity import (
@@ -166,6 +167,14 @@ class TestSimulate:
         monkeypatch.setattr(stit_mod, "EVENT_CAP", 5)
         with pytest.raises(RuntimeError, match="event cap"):
             simulate(params(box(0, 0, 10, 10), 2.0, iso, 3))
+
+    def test_undividable_cell_is_a_geometry_error(self, iso, axes):
+        # At a = 2**30 on a 2**-28 window, cells shrink until every line drawn
+        # leaves a sliver thinner than EPS on one side.
+        side = 4.0 * 2.0**-30
+        for measure, seed in ((iso, 0), (axes, 0)):
+            with pytest.raises(GeometryError, match="could not draw a dividing line"):
+                simulate(params(box(0, 0, side, side), 2.0**30, measure, seed))
 
     def test_axis_measure_cells_are_boxes(self, axes):
         t = simulate(params(box(0, 0, 4, 4), 1.0, axes, 15))
@@ -1116,3 +1125,46 @@ class TestPinnedClosedForms:
     def test_sweeps_and_masses(self):
         digests = {name: hashlib.sha256(part).hexdigest() for name, part in _closed_form_parts().items()}
         assert digests == PINNED_CLOSED_FORMS
+
+    def test_closed_forms_do_not_depend_on_how_sum_rounds(self, monkeypatch):
+        # Python 3.12 and later add floats in ``sum`` with compensation. Neither
+        # the pinned digests nor the masses of 200 random pairs may change with it.
+        masses = _random_pair_masses()
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        digests = {name: hashlib.sha256(part).hexdigest() for name, part in _closed_form_parts().items()}
+        assert digests == PINNED_CLOSED_FORMS
+        assert _random_pair_masses() == masses
+
+
+def _random_pair_masses() -> list[float]:
+    """Separating and double-hit masses of 200 random polygon pairs, isotropic and mixed."""
+    rng = np.random.default_rng(0)
+    values = []
+    for _ in range(200):
+        a = random_convex_polygon(rng, max_pts=12)
+        b = random_convex_polygon(rng, max_pts=12)
+        for name in ("isotropic", "mixed"):
+            measure = QUERY_MEASURES[name]
+            values += [separating_mass(measure, a, b), double_hit_mass(measure, a, b)]
+    return values
+
+
+_plain_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 adds floats: Neumaier's compensated summation.
+
+    Anything but ints and floats, with at least one float, goes to the plain ``sum``.
+    """
+    items = list(iterable)
+    numbers = all(type(v) in (int, float) for v in (start, *items))
+    if not numbers or not any(type(v) is float for v in items):
+        return _plain_sum(items, start)
+    total, carry = float(start), 0.0
+    for v in items:
+        x = float(v)
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry if carry and math.isfinite(carry) else total
