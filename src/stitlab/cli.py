@@ -263,8 +263,10 @@ def cmd_iterate(args) -> int:
 
 def cmd_validate(args) -> int:
     # Imported here: the suite and numpy, which only it needs, stay off every other command's path.
-    from .checks import run_suite
-
+    try:
+        from .checks import run_suite
+    except ModuleNotFoundError as exc:
+        raise BadInput(f"validate needs numpy, and importing it failed: {exc}")
     try:
         results = run_suite(args.suite)
     except KeyError as exc:

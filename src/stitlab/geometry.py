@@ -323,6 +323,20 @@ def _is_connected(pieces: Sequence[ConvexPolygon]) -> bool:
 # Hull, clipping, intersection
 
 
+def _half(seq: Sequence[Point]) -> list[Point]:
+    """One monotone chain over sorted points: each point kept turns left from the two before it."""
+    out: list[Point] = []
+    for p in seq:
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Minimal convex polygon containing the input points (monotone chain)."""
     pts = sorted(set(_finite(points)))
@@ -330,21 +344,8 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
         raise GeometryError("empty point set")
     if len(pts) == 1:
         return _canonicalise(pts)
-
-    def half(seq: Sequence[Point]) -> list[Point]:
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
+    lower = _half(pts)
+    upper = _half(pts[::-1])
     # The chain turns left at every vertex, each turn taken from differences
     # of nearby points, so its orientation is known.
     return _canonicalise(lower[:-1] + upper[:-1], ccw=True)
@@ -749,9 +750,19 @@ def translate(poly: ConvexPolygon, t: Point) -> ConvexPolygon:
 
 
 def scale(poly: ConvexPolygon, s: float) -> ConvexPolygon:
+    """The polygon scaled about the origin by s > 0.
+
+    A power of two scales each coordinate exactly, as dividing back
+    confirms (an under- or overflow fails it), so the loop keeps every
+    vertex, features a shrink takes below EPS included. Other factors
+    canonicalise the scaled loop again.
+    """
     if not (s > 0.0):
         raise GeometryError("scale factor must be positive")
-    return ConvexPolygon(tuple((s * x, s * y) for x, y in poly.vertices))
+    verts = tuple((s * x, s * y) for x, y in poly.vertices)
+    if math.frexp(s)[0] == 0.5 and all((x / s, y / s) == v for (x, y), v in zip(verts, poly.vertices)):
+        return _polygon(verts, None)
+    return ConvexPolygon(verts)
 
 
 # Directions in which ``dilate`` pushes each vertex out.
@@ -788,143 +799,101 @@ def hull_of(body: ConvexPolygon | CompactSet) -> ConvexPolygon:
     return convex_hull(_vertices_of(body))
 
 
-def _joint_hull(a: ConvexPolygon | CompactSet, b: ConvexPolygon | CompactSet) -> ConvexPolygon:
-    """Convex hull of two bodies together, from the vertices of their hulls.
+def _chains(verts: tuple[Point, ...]) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    """A canonical CCW loop split at its lexicographic minimum and maximum:
+    the lower chain, ascending, and the upper chain, descending, each with both ends."""
+    i, j = verts.index(min(verts)), verts.index(max(verts))
+    loop = verts[i:] + verts[:i]
+    k = (j - i) % len(verts)
+    return loop[: k + 1], loop[k:] + loop[:1]
 
-    When one hull lies wholly left of or below the other, and the two have
-    at least ``_BRIDGE_MIN_VERTICES`` vertices, the joint hull is each
-    hull's chain between the two outer common tangents (bridges), found in
-    O(n + m) (``_bridged``). That loop, started at its lexicographic
-    minimum, is the one ``convex_hull`` of both vertex lists builds, and it
-    is canonicalised once: the chains' inner vertices keep their floats
-    and neighbours, so the canonicaliser skips their test. Other pairs,
-    and loops that ``_bridged`` cannot vouch for, take ``convex_hull``.
+
+def _joint_hull(a: ConvexPolygon | CompactSet, b: ConvexPolygon | CompactSet) -> ConvexPolygon:
+    """Convex hull of two bodies together, from the chains of their hulls, in O(n + m).
+
+    Every vertex of the joint lower hull lies on one hull's lower chain, and
+    likewise for the upper, so the monotone chain of ``convex_hull`` run
+    over the two lower chains and over the two upper chains pops only the
+    points it leaves out and builds the same loop. Each input is two
+    sorted runs, which ``sorted`` merges in linear time.
     """
-    av, bv = hull_of(a).vertices, hull_of(b).vertices
-    bridged = _bridged(av, bv) if len(av) + len(bv) >= _BRIDGE_MIN_VERTICES else None
-    if bridged is None:
-        return convex_hull(list(av) + list(bv))
-    return _canonicalise(*bridged, ccw=True)
+    la, ua = _chains(hull_of(a).vertices)
+    lb, ub = _chains(hull_of(b).vertices)
+    lower = _half(sorted(la + lb))
+    upper = _half(sorted(ua + ub, reverse=True))
+    return _canonicalise(lower[:-1] + upper[:-1], ccw=True)
 
 
 # A vertex's (y, x): the lowest vertex is the first in this order, the highest the last.
 _YX = itemgetter(1, 0)
 
-# Squared relative size below which the sign of a cross product of float
-# differences is not trusted: its rounding error is a few 2^-53 of |u| |v|.
-_SIDE_TOL = 2.0**-80
 
-# Fewest vertices in two hulls for which the bridges beat ``convex_hull``:
-# for two segments or two squares the walk and its checks cost more than
-# sorting both vertex lists, for two 8-gons about the same, for two
-# 16-gons less.
-_BRIDGE_MIN_VERTICES = 16
+def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
+    """Hull of {p - q : p in a, q in b}, the Minkowski sum of a and -b, in O(n + m).
 
+    An edge merge: walk a's edges from its lowest vertex and -b's from its
+    lowest (b's highest) in angular order, advancing the edge that turns
+    first by the sign of their cross product (both when parallel), and
+    emit the difference of the current vertices at each step. Points and
+    segments are loops with zero-length or doubled-back edges, so they
+    take the same walk. The at most n + m points include every vertex of
+    the exact difference hull, and the result is ``convex_hull`` of them.
 
-def _clear(a: Point, b: Point, p: Point) -> bool:
-    """True when p lies left of the directed line a -> b by more than rounding."""
-    ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]
-    c = ux * vy - uy * vx
-    return c > 0.0 and c * c > _SIDE_TOL * (ux * ux + uy * uy) * (vx * vx + vy * vy)
-
-
-def _bridge(p: Sequence[Point], q: Sequence[Point], i: int, j: int) -> tuple[int, int, bool, bool] | None:
-    """The bridge from CCW loop p to CCW loop q, walked from p[i] and q[j].
-
-    Moves p[i] to a neighbour right of the directed line p[i] -> q[j], or
-    on it and farther from q[j], and q[j] likewise, until neither moves.
-    Returns (i, j, p_on, q_on): the bridge ends, each of whose neighbours
-    lies left of the line by more than rounding, except that p's next and
-    q's previous vertex may lie on it exactly in a coordinate all three
-    share (then ``p_on`` or ``q_on`` is set): every cross product of those
-    three is 0, so the monotone chain drops the middle one. None when this
-    does not hold or the walk does not settle in n + m moves.
+    Two edges that point the same way, with a cross product that puts the
+    point between them within EPS / 2 of the chord, advance together: a
+    translate's edges are parallel only up to rounding, and the
+    canonicaliser would strip that point. The emitted loop, started at its
+    lexicographic minimum, is the loop ``convex_hull`` builds when the
+    canonicaliser hands it back whole and no left-out point is that
+    minimum; otherwise, and when the loop has fewer than three points, the
+    hull comes from ``convex_hull`` of every point, left out or not.
     """
-    n, m = len(p), len(q)
-    for _ in range(n + m + 2):
-        (ax, ay), (bx, by) = p[i], q[j]
-        ex, ey = bx - ax, by - ay
-        (px, py), (nx, ny) = p[i - 1], p[i + 1 - n]
-        cp = ex * (py - ay) - ey * (px - ax)
-        if cp < 0.0 or cp == 0.0 and (ax - px) * ex + (ay - py) * ey > 0.0:
-            i = i - 1 if i else n - 1
-            continue
-        cn = ex * (ny - ay) - ey * (nx - ax)
-        if cn < 0.0 or cn == 0.0 and (ax - nx) * ex + (ay - ny) * ey > 0.0:
-            i = i + 1 if i + 1 < n else 0
-            continue
-        (sx, sy), (tx, ty) = q[j + 1 - m], q[j - 1]
-        cs = ex * (sy - ay) - ey * (sx - ax)
-        if cs < 0.0 or cs == 0.0 and (sx - bx) * ex + (sy - by) * ey > 0.0:
-            j = j + 1 if j + 1 < m else 0
-            continue
-        ct = ex * (ty - ay) - ey * (tx - ax)
-        if ct < 0.0 or ct == 0.0 and (tx - bx) * ex + (ty - by) * ey > 0.0:
-            j = j - 1 if j else m - 1
-            continue
-        break
-    else:
-        return None
-    tol = _SIDE_TOL * (ex * ex + ey * ey)
-    p_on = q_on = False
-    if n > 1:
-        if not (cp > 0.0 and cp * cp > tol * ((px - ax) ** 2 + (py - ay) ** 2)):
-            return None
-        if cn == 0.0 and (ax == bx == nx or ay == by == ny):
-            p_on = True
-        elif not (cn > 0.0 and cn * cn > tol * ((nx - ax) ** 2 + (ny - ay) ** 2)):
-            return None
-    if m > 1:
-        if not (cs > 0.0 and cs * cs > tol * ((sx - ax) ** 2 + (sy - ay) ** 2)):
-            return None
-        if ct == 0.0 and (ax == bx == tx or ay == by == ty):
-            q_on = True
-        elif not (ct > 0.0 and ct * ct > tol * ((tx - ax) ** 2 + (ty - ay) ** 2)):
-            return None
-    return i, j, p_on, q_on
-
-
-def _bridged(av: tuple[Point, ...], bv: tuple[Point, ...]) -> tuple[list[Point], list[bool]] | None:
-    """The joint hull loop of two CCW hulls and its ``kept`` flags, or None.
-
-    None unless the hulls are apart along x or along y. The bridges are
-    walked from the hulls' lowest and highest vertices (rightmost and
-    leftmost when apart along y). Each bridge end turns left by more than
-    rounding, and each vertex the loop leaves out next to one lies inside
-    the bridge's line by more than rounding, or on it exactly in a shared
-    coordinate; so the monotone chain of ``convex_hull`` keeps exactly
-    this loop, and the result is None otherwise.
-    """
-    if max(av)[0] < min(bv)[0]:
-        first, last, key = min, max, _YX
-    elif max(bv)[0] < min(av)[0]:
-        av, bv = bv, av
-        first, last, key = min, max, _YX
-    elif max(av, key=_YX)[1] < min(bv, key=_YX)[1]:
-        first, last, key = max, min, None
-    elif max(bv, key=_YX)[1] < min(av, key=_YX)[1]:
-        av, bv = bv, av
-        first, last, key = max, min, None
-    else:
-        return None
-    lo = _bridge(av, bv, av.index(first(av, key=key)), bv.index(first(bv, key=key)))
-    hi = lo and _bridge(bv, av, bv.index(last(bv, key=key)), av.index(last(av, key=key)))
-    if not hi:
-        return None
-    (i1, j1, a_on, b_on), (j2, i2, b_off, a_off) = lo, hi
-    ca = av[i2 : i1 + 1] if i2 <= i1 else av[i2:] + av[: i1 + 1]
-    cb = bv[j1 : j2 + 1] if j1 <= j2 else bv[j1:] + bv[: j2 + 1]
-    na, nb = len(ca), len(cb)
-    # A vertex on a bridge's line must be left out, and a chain of one
-    # vertex turns from one bridge to the other.
-    if (a_on or a_off) and na == len(av) or (b_on or b_off) and nb == len(bv):
-        return None
-    if na == 1 and not _clear(cb[-1], ca[0], cb[0]) or nb == 1 and not _clear(ca[-1], cb[0], ca[0]):
-        return None
-    loop = ca + cb
-    kept = [False] + [True] * (na - 2) + [False] * (na > 1) + [False] + [True] * (nb - 2) + [False] * (nb > 1)
-    s = loop.index(min(loop))
-    return list(loop[s:] + loop[:s]), kept[s:] + kept[:s]
+    av, bv = a.vertices, b.vertices
+    n, m = len(av), len(bv)
+    k = av.index(min(av, key=_YX))
+    av = av[k:] + av[: k + 1]
+    k = bv.index(max(bv, key=_YX))
+    bv = bv[k:] + bv[: k + 1]
+    pts = []
+    skipped = []
+    tol = 0.25 * EPS * EPS
+    i = j = 0
+    while i < n or j < m:
+        (px, py), (qx, qy) = av[i], bv[j]
+        pts.append((px - qx, py - qy))
+        if i == n:
+            j += 1
+        elif j == m:
+            i += 1
+        else:
+            # a's edge times -b's edge (q - q_next): positive when a's turns first.
+            (rx, ry), (sx, sy) = av[i + 1], bv[j + 1]
+            ax, ay, bx, by = rx - px, ry - py, qx - sx, qy - sy
+            cross = ax * by - ay * bx
+            dot = ax * bx + ay * by
+            if cross == 0.0:
+                i += 1
+                j += 1
+            elif dot > 0.0 and cross * cross <= tol * (ax * ax + ay * ay + bx * bx + by * by + dot + dot):
+                # The point between lies |cross| / |a's edge + -b's edge| from the chord.
+                skipped.append((rx - qx, ry - qy) if cross > 0.0 else (px - sx, py - sy))
+                i += 1
+                j += 1
+            elif cross > 0.0:
+                i += 1
+            else:
+                j += 1
+    start = min(pts)
+    if len(pts) > 2 or not skipped:
+        k = pts.index(start)
+        loop = pts[k:] + pts[:k]
+        try:
+            verts, per = _canonical_loop(loop, ccw=True)
+        except GeometryError:
+            verts = ()
+        if len(verts) == len(loop) and per is not None and not (skipped and min(skipped) < start):
+            return _polygon(verts, per)
+    return convex_hull(pts + skipped)
 
 
 # ---------------------------------------------------------------------------

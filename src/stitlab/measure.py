@@ -23,15 +23,10 @@ from typing import Protocol
 from .geometry import (
     CompactSet,
     ConvexPolygon,
-    EPS,
     Direction,
-    GeometryError,
     Hyperplane,
-    _YX,
-    _canonical_loop,
+    _difference_hull,
     _joint_hull,
-    _polygon,
-    convex_hull,
     hull_of,
     perimeter,
     projection_bounds,
@@ -212,74 +207,6 @@ def _separating_atoms(measure: DirectionalMeasure, atoms_a: list, atoms_b: list)
     for (_, w), (_, _, a_lo, a_hi), (_, _, b_lo, b_hi) in zip(measure.atoms, atoms_a, atoms_b):
         total += w * ((b_lo - a_hi if b_lo > a_hi else 0.0) + (a_lo - b_hi if a_lo > b_hi else 0.0))
     return total
-
-
-def _difference_hull(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
-    """Hull of {p - q : p in a, q in b}, the Minkowski sum of a and -b, in O(n + m).
-
-    An edge merge: walk a's edges from its lowest vertex and -b's from its
-    lowest (b's highest) in angular order, advancing the edge that turns
-    first by the sign of their cross product (both when parallel), and
-    emit the difference of the current vertices at each step. Points and
-    segments are loops with zero-length or doubled-back edges, so they
-    take the same walk. The at most n + m points include every vertex of
-    the exact difference hull, and the result is ``convex_hull`` of them.
-
-    Two edges that point the same way, with a cross product that puts the
-    point between them within EPS / 2 of the chord, advance together: a
-    translate's edges are parallel only up to rounding, and the
-    canonicaliser would strip that point. The emitted loop, started at its
-    lexicographic minimum, is the loop ``convex_hull`` builds when the
-    canonicaliser hands it back whole and no left-out point is that
-    minimum; otherwise, and when the loop has fewer than three points, the
-    hull comes from ``convex_hull`` of every point, left out or not.
-    """
-    av, bv = a.vertices, b.vertices
-    n, m = len(av), len(bv)
-    k = av.index(min(av, key=_YX))
-    av = av[k:] + av[: k + 1]
-    k = bv.index(max(bv, key=_YX))
-    bv = bv[k:] + bv[: k + 1]
-    pts = []
-    skipped = []
-    tol = 0.25 * EPS * EPS
-    i = j = 0
-    while i < n or j < m:
-        (px, py), (qx, qy) = av[i], bv[j]
-        pts.append((px - qx, py - qy))
-        if i == n:
-            j += 1
-        elif j == m:
-            i += 1
-        else:
-            # a's edge times -b's edge (q - q_next): positive when a's turns first.
-            (rx, ry), (sx, sy) = av[i + 1], bv[j + 1]
-            ax, ay, bx, by = rx - px, ry - py, qx - sx, qy - sy
-            cross = ax * by - ay * bx
-            dot = ax * bx + ay * by
-            if cross == 0.0:
-                i += 1
-                j += 1
-            elif dot > 0.0 and cross * cross <= tol * (ax * ax + ay * ay + bx * bx + by * by + dot + dot):
-                # The point between lies |cross| / |a's edge + -b's edge| from the chord.
-                skipped.append((rx - qx, ry - qy) if cross > 0.0 else (px - sx, py - sy))
-                i += 1
-                j += 1
-            elif cross > 0.0:
-                i += 1
-            else:
-                j += 1
-    start = min(pts)
-    if len(pts) > 2 or not skipped:
-        k = pts.index(start)
-        loop = pts[k:] + pts[:k]
-        try:
-            verts, per = _canonical_loop(loop, ccw=True)
-        except GeometryError:
-            verts = ()
-        if len(verts) == len(loop) and per is not None and not (skipped and min(skipped) < start):
-            return _polygon(verts, per)
-    return convex_hull(pts + skipped)
 
 
 def _separating_isotropic(measure: DirectionalMeasure, a: ConvexPolygon, b: ConvexPolygon) -> float:

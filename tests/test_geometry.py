@@ -22,9 +22,7 @@ from stitlab.geometry import (
     clip_segment_to_polygon,
     contains_point,
     convex_hull,
-    _bridged,
     _canonical_loop,
-    _canonicalise,
     _clip_loop,
     _joint_hull,
     _perp_distance,
@@ -950,7 +948,7 @@ class TestHitReach:
 
 
 # ---------------------------------------------------------------------------
-# The joint hull from two bridges against the monotone chain over both vertex lists
+# The joint hull from the hulls' chains against the monotone chain over both vertex lists
 
 
 def hull_outcome(fn, a, b):
@@ -964,12 +962,6 @@ def hull_outcome(fn, a, b):
 
 def chain_hull(a, b):
     return convex_hull(list(a.vertices) + list(b.vertices))
-
-
-def bridged_hull(a, b):
-    """The hull from ``_bridged`` whatever the vertex count, or ``chain_hull`` where it declines."""
-    bridged = _bridged(a.vertices, b.vertices)
-    return chain_hull(a, b) if bridged is None else _canonicalise(*bridged, ccw=True)
 
 
 @st.composite
@@ -997,7 +989,7 @@ def hull_bodies(draw, size):
 @st.composite
 def hull_pairs(draw):
     """Two bodies apart, touching, overlapping or nested, or a box and its
-    translate along an axis, whose bridges run along the boxes' edges.
+    translate along an axis, whose joint hull runs along the boxes' edges.
 
     Sizes are 1e-4 to 30, and the pair is then moved by up to 1e7.
     """
@@ -1037,18 +1029,15 @@ class TestJointHull:
 
     @settings(max_examples=1000, deadline=None)
     @given(hull_pairs())
+    # The merge's edge cases: one repeated point; a point on the other
+    # body's lower chain; boxes stacked along y, with vertical edges at both
+    # chain ends; a 64-gon in a scaled copy of itself, whose chains interleave.
+    @example((ConvexPolygon(((1.0, 2.0),)), ConvexPolygon(((1.0, 2.0),))))
+    @example((regular_polygon(8), ConvexPolygon((regular_polygon(8).vertices[6],))))
+    @example((box(0.0, 0.0, 1.0, 1.0), box(0.0, 2.0, 1.0, 3.0)))
+    @example((regular_polygon(64), regular_polygon(64, 1.5)))
     def test_matches_chain_hull(self, pair):
         a, b = pair
         want = hull_outcome(chain_hull, a, b)
         for x, y in ((a, b), (b, a)):
             assert hull_outcome(_joint_hull, x, y) == want
-            assert hull_outcome(bridged_hull, x, y) == want
-
-    def test_bridges_taken_for_sweep_pairs(self):
-        # Boxes along an axis have bridges on their edges' lines; a 64-gon's
-        # translate touches its bridges at one vertex each.
-        for a, shift in ((box(0.0, 0.0, 1.0, 1.0), (3.5, 0.0)), (regular_polygon(64), (4.5, 0.0)),
-                         (ConvexPolygon(((0.0, 0.0), (0.0, 1.0))), (7.0, 0.0)), (box(0.0, 0.0, 1.0, 1.0), (2.0, 2.0))):
-            b = translate(a, shift)
-            assert _bridged(a.vertices, b.vertices) is not None
-            assert hull_outcome(bridged_hull, a, b) == hull_outcome(chain_hull, a, b)

@@ -6,8 +6,9 @@ They count as reads in the second, so a public name passes it by being
 exported, and a private one or an unexported public one by being read.
 
 The import path is gated too, in fresh interpreters: importing the package
-and its CLI loads neither numpy nor the ``validate`` suite, and every
-command but ``validate`` runs with numpy blocked.
+and its CLI loads neither numpy nor the ``validate`` suite, every
+command but ``validate`` runs with numpy blocked, and ``validate`` then
+exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -136,6 +137,14 @@ def test_command_runs_without_numpy(tmp_path, command):
     result = run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_validate_without_numpy_exits_2_with_one_line(tmp_path):
+    code = "import sys; sys.modules['numpy'] = None; from stitlab.cli import main; sys.exit(main(['validate']))"
+    result = run_python(code, tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "numpy" in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_validate_loads_numpy_and_passes(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stitlab.measure as measure_module
+import stitlab.geometry as geometry_module
 from conftest import assert_check, random_convex_polygon, rotate
 from stitlab.geometry import (
     CompactSet,
@@ -15,6 +15,7 @@ from stitlab.geometry import (
     Direction,
     GeometryError,
     _canonical_loop,
+    _difference_hull,
     box,
     convex_hull,
     hits,
@@ -25,7 +26,6 @@ from stitlab.geometry import (
 )
 from stitlab.measure import (
     DirectionalMeasure,
-    _difference_hull,
     MeasureError,
     axis_measure,
     double_hit_mass,
@@ -527,7 +527,7 @@ class TestDifferenceHull:
             sizes.append(len(points))
             return _canonical_loop(points, kept, ccw)
 
-        monkeypatch.setattr(measure_module, "_canonical_loop", counting_loop)
+        monkeypatch.setattr(geometry_module, "_canonical_loop", counting_loop)
         a = regular_polygon(64)
         for b, count in ((translate(a, (5.0, 1.0)), 64), (rotate(a, 0.01, about=(-4.0, 0.0)), 128)):
             sizes.clear()

@@ -354,6 +354,14 @@ class TestRescaleAndQueries:
             with pytest.raises(GeometryError):
                 rescale(t, bad)
 
+    def test_power_of_two_round_trip_is_exact(self, iso):
+        # Halving takes some cells' features below EPS; a power of two scales
+        # exactly, so no vertex is stripped and doubling restores every cell.
+        t = simulate(params(box(0, 0, 20, 20), 2.0, iso, 31279095855))
+        half = rescale(t, 0.5)
+        assert [len(c.polygon.vertices) for c in half.cells] == [len(c.polygon.vertices) for c in t.cells]
+        assert rescale(half, 2.0) == t
+
     def test_hits_internal_empty_tessellation(self, iso):
         t = simulate(params(box(0, 0, 3, 3), 0.0, iso, 65))
         assert not hits_internal(t, box(1, 1, 2, 2))
