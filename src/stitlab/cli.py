@@ -76,8 +76,22 @@ def _parse(config: dict, key: str, kind):
     value = _require(config, key)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"config key {key!r} has a bad value {value!r}: {exc}")
+
+
+def _integer(value) -> int:
+    """A JSON integer as it is; a float, a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a JSON number")
+    return float(value)
 
 
 def parse_body(obj) -> ConvexPolygon | CompactSet:
@@ -119,7 +133,7 @@ def _resolve_seed(config: dict, args) -> int:
         return args.seed
     if "seed" not in config:
         raise BadInput("seed must be given in the config file or with --seed")
-    return _parse(config, "seed", int)
+    return _parse(config, "seed", _integer)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -162,7 +176,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(config, args)
     tess = simulate(
         SimulationParams(
-            window=window, time=_parse(config, "a", float), measure=measure, seed=seed
+            window=window, time=_parse(config, "a", _number), measure=measure, seed=seed
         )
     )
     doc = {"config": {**config, "seed": seed}, "tessellation": tessellation_to_json(tess)}
@@ -177,8 +191,8 @@ def cmd_capacity(args) -> int:
     measure = parse_measure(_require(config, "measure"))
     body = parse_body(_require(config, "set"))
     seed = _resolve_seed(config, args)
-    n = args.n if args.n is not None else _parse(config, "n", int)
-    a = _parse(config, "a", float)
+    n = args.n if args.n is not None else _parse(config, "n", _integer)
+    a = _parse(config, "a", _number)
     window = parse_window(config["window"]) if "window" in config else None
     query_id = str(config.get("id", "query"))
     if any(c in query_id for c in ',"\r\n'):
@@ -211,13 +225,13 @@ def cmd_mixing(args) -> int:
     seed = _resolve_seed(config, args)
     mc_n = args.n
     if mc_n is None and config.get("mc_n") is not None:
-        mc_n = _parse(config, "mc_n", int)
+        mc_n = _parse(config, "mc_n", _integer)
     sweep_config = SweepConfig(
         body_a=parse_body(_require(config, "A")),
         body_b=parse_body(_require(config, "B")),
-        direction=_parse(config, "direction", lambda v: Direction(*(float(c) for c in v))),
-        distances=_parse(config, "distances", lambda v: tuple(float(h) for h in v)),
-        time=_parse(config, "a", float),
+        direction=_parse(config, "direction", lambda v: Direction(*(_number(c) for c in v))),
+        distances=_parse(config, "distances", lambda v: tuple(_number(h) for h in v)),
+        time=_parse(config, "a", _number),
         measure=measure,
         seed=seed,
         mc_n=mc_n,
@@ -236,9 +250,9 @@ def cmd_iterate(args) -> int:
     window = parse_window(_require(config, "window"))
     body = parse_body(_require(config, "set"))
     seed = _resolve_seed(config, args)
-    n = args.n if args.n is not None else _parse(config, "n", int)
-    a = _parse(config, "a", float)
-    a2 = _parse(config, "a2", float)
+    n = args.n if args.n is not None else _parse(config, "n", _integer)
+    a = _parse(config, "a", _number)
+    a2 = _parse(config, "a2", _number)
     if n < 1:
         raise BadInput("need at least one replication")
     query = HitQuery(window, [body])

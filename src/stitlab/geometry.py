@@ -107,9 +107,7 @@ def _perp_distance(p: Point, a: Point, b: Point) -> float:
     return abs(ex * (p[1] - ay) - ey * (p[0] - ax)) / n
 
 
-def _canonical_loop(
-    points: Sequence[Point], kept: Sequence[bool] = (), ccw: bool = False
-) -> tuple[tuple[Point, ...], float | None]:
+def _canonical_loop(points: Sequence[Point], ccw: bool = False) -> tuple[tuple[Point, ...], float | None]:
     """Tidy a convex loop of finite floats: dedupe, orient CCW, strip collinear vertices.
 
     Collapses nearly-collinear loops to a segment and coincident points to a
@@ -117,11 +115,7 @@ def _canonical_loop(
     tidied loop turns clockwise at a vertex farther than EPS from the chord
     of its neighbours. With ``ccw`` the loop is known to run
     counter-clockwise and is never reversed: the shoelace sum about the
-    origin can take the wrong sign for a loop of tiny area. ``kept`` flags
-    the points whose two neighbours in ``points`` are their neighbours in a
-    canonical loop, where they passed the strip-and-turn test on the same
-    three floats; the test is skipped there unless a vertex was dropped or
-    the loop reversed.
+    origin can take the wrong sign for a loop of tiny area.
     Returns the loop and its perimeter, summed edge by edge from vertex 0,
     or None for the perimeter unless the loop is the deduped points as given.
     """
@@ -142,9 +136,7 @@ def _canonical_loop(
         if d > EPS or len(pts) == 1:
             break
         # The last vertex lies within EPS of the first: drop it and sum again.
-        points, kept = pts[:-1], None
-    if len(pts) < len(points):
-        kept = None
+        points = pts[:-1]
     per += d
     area2 += lx * y0 - ly * x0
     if len(pts) < 3:
@@ -170,46 +162,36 @@ def _canonical_loop(
 
     if area2 < 0.0 and not ccw:
         pts.reverse()
-        kept = per = None
+        per = None
 
     # One scan for the distance of each vertex q = pts[i] from the chord of
     # its neighbours p, r and the turn p -> q -> r. The first vertex within
-    # EPS of its chord is stripped; with none left, a clockwise turn means
-    # the loop is not convex. A strip gives new neighbours only to the
-    # vertices either side of it, so the scan resumes at the one before.
-    # It restarts when the stripped vertex was the first or the last, or
-    # when it has seen a clockwise turn, which may be the one before's.
-    start = 0
-    clockwise = False
+    # EPS of its chord is stripped and the scan starts again from vertex 0;
+    # with none left, a clockwise turn means the loop is not convex.
     while True:
-        px, py = pts[start - 1]
-        qx, qy = pts[start]
-        for i, (rx, ry) in enumerate(pts[start + 1 :] + pts[:1], start):
-            if not (kept and kept[i]):
-                ex, ey = rx - px, ry - py
-                ln = math.hypot(ex, ey)
-                if ln == 0.0:
-                    dist = math.hypot(qx - px, qy - py)
-                else:
-                    dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
-                if dist <= EPS:
-                    break
-                if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
-                    clockwise = True
+        clockwise = False
+        px, py = pts[-1]
+        qx, qy = pts[0]
+        for i, (rx, ry) in enumerate(pts[1:] + pts[:1]):
+            ex, ey = rx - px, ry - py
+            ln = math.hypot(ex, ey)
+            if ln == 0.0:
+                dist = math.hypot(qx - px, qy - py)
+            else:
+                dist = abs(ex * (qy - py) - ey * (qx - px)) / ln
+            if dist <= EPS:
+                break
+            if (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0:
+                clockwise = True
             px, py, qx, qy = qx, qy, rx, ry
         else:
             if clockwise:
                 raise GeometryError("vertex chain is not convex")
             return tuple(pts), per
         pts.pop(i)
-        kept = per = None
+        per = None
         if len(pts) < 3:
             return tuple(pts), per
-        if clockwise or not 0 < i < len(pts):
-            start = 0
-            clockwise = False
-        else:
-            start = i - 1
 
 
 @dataclass(frozen=True)
@@ -271,9 +253,9 @@ def _polygon(verts: tuple[Point, ...], per: float | None) -> ConvexPolygon:
     return poly
 
 
-def _canonicalise(points: Sequence[Point], kept: Sequence[bool] = (), ccw: bool = False) -> ConvexPolygon:
+def _canonicalise(points: Sequence[Point], ccw: bool = False) -> ConvexPolygon:
     """The polygon on the ``_canonical_loop`` of ``points`` and, when that comes back, its perimeter."""
-    return _polygon(*_canonical_loop(points, kept, ccw))
+    return _polygon(*_canonical_loop(points, ccw))
 
 
 @dataclass(frozen=True)
@@ -351,35 +333,28 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     return _canonicalise(lower[:-1] + upper[:-1], ccw=True)
 
 
-def _clip_loop(
-    verts: Sequence[Point], s: Sequence[float], tol: float
-) -> tuple[list[Point], list[bool]]:
+def _clip_loop(verts: Sequence[Point], s: Sequence[float], tol: float) -> list[Point]:
     """Clip a convex vertex loop to the side where the offsets ``s`` are >= 0.
 
     ``s[i]`` is vertex i's offset from the cutting line, positive on the
     kept side, and vertices within ``tol`` of the line are kept on both
-    sides. Returns the kept loop and, per output vertex, a flag set where
-    it is an input vertex kept with both its input neighbours: a new point
-    goes only where an offset is below -tol, so those stay its neighbours.
+    sides.
     """
     n = len(verts)
     lo = -tol
     loop: list[Point] = []
-    kept: list[bool] = []
-    sh, si = s[-1], s[0]
+    si = s[0]
     for i in range(n):
         j = i + 1 if i + 1 < n else 0
         sj = s[j]
         if si >= lo:
             loop.append(verts[i])
-            kept.append(sh >= lo and sj >= lo)
         if (si > tol and sj < lo) or (si < lo and sj > tol):
             t = si / (si - sj)
             (xi, yi), (xj, yj) = verts[i], verts[j]
             loop.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-            kept.append(False)
-        sh, si = si, sj
-    return loop, kept
+        si = sj
+    return loop
 
 
 def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | None:
@@ -398,7 +373,7 @@ def clip(poly: ConvexPolygon, plane: Hyperplane, side: str) -> ConvexPolygon | N
     s = [sign * (x * ux + y * uy - r) for x, y in verts]
     if max(s) <= EPS:
         return None
-    return _canonicalise(*_clip_loop(verts, s, EPS))
+    return _canonicalise(_clip_loop(verts, s, EPS))
 
 
 def polygon_intersection(poly: ConvexPolygon, window: ConvexPolygon) -> ConvexPolygon | None:
@@ -413,7 +388,7 @@ def polygon_intersection(poly: ConvexPolygon, window: ConvexPolygon) -> ConvexPo
         # tolerance on offsets along it: EPS in length units.
         nx, ny = a[1] - b[1], b[0] - a[0]
         c = a[0] * nx + a[1] * ny
-        loop, _ = _clip_loop(loop, [x * nx + y * ny - c for x, y in loop], EPS * math.hypot(nx, ny))
+        loop = _clip_loop(loop, [x * nx + y * ny - c for x, y in loop], EPS * math.hypot(nx, ny))
         if not loop:
             return None
     return ConvexPolygon(tuple(loop))

@@ -300,8 +300,23 @@ class TestBadInput:
             ("mixing", "mc_n", [5]),
             ("mixing", "direction", 1.0),
             ("mixing", "distances", 5.0),
+            ("capacity", "n", 20.9),
+            ("capacity", "seed", 17.5),
+            ("capacity", "a", True),
+            ("capacity", "n", True),
+            ("capacity", "n", "300"),
+            ("simulate", "a", "0.5"),
+            ("iterate", "a2", False),
+            ("mixing", "mc_n", 5.0),
+            ("mixing", "seed", True),
+            ("mixing", "direction", [1, True]),
+            ("mixing", "direction", "10"),
+            ("mixing", "distances", [5.0, "50"]),
+            ("capacity", "a", 10**400),
         ],
-        ids=["a", "a2", "n", "seed", "mc_n", "direction", "distances"],
+        ids=["a", "a2", "n", "seed", "mc_n", "direction", "distances", "n-float", "seed-float", "a-bool", "n-bool",
+             "n-string", "a-string", "a2-bool", "mc_n-float", "seed-bool", "direction-bool-entry",
+             "direction-string", "distances-string-entry", "a-overflow"],
     )
     def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, command, key, value):
         config = {"measure": ISO_MEASURE, "set": "unit_square", "A": "unit_segment", "B": "unit_segment"}

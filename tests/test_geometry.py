@@ -23,7 +23,6 @@ from stitlab.geometry import (
     contains_point,
     convex_hull,
     _canonical_loop,
-    _clip_loop,
     _joint_hull,
     _perp_distance,
     diameter,
@@ -458,8 +457,9 @@ def _dist(p, q):
 def reference_canonical_loop(points):
     """The multi-pass canonicalisation plus the separate convexity check.
 
-    Its strip loop restarts the scan from the first vertex after every
-    strip; ``_canonical_loop`` resumes it next to the stripped vertex.
+    Dedupe, collapse, orientation, stripping and the convexity check each
+    take their own pass here, where ``_canonical_loop`` takes one scan for
+    the strip and the turn.
     """
     pts = []
     for p in points:
@@ -654,7 +654,7 @@ class TestCanonicalLoopMatchesReference:
 
     @settings(max_examples=500, deadline=None)
     @given(loops_with_inserted_vertices())
-    def test_resumed_strips_match_restarted(self, pts):
+    def test_strips_near_inserted_vertices(self, pts):
         assert outcome(canonical_loop, pts) == outcome(reference_canonical_loop, pts)
 
     def test_strip_of_last_vertex_rechecks_first(self):
@@ -785,9 +785,8 @@ def polygon_cuts(draw):
 
 
 class TestClipMatchesReference:
-    """clip, which skips the strip-and-turn test at the vertices it kept
-    whole, gives the full canonicalisation's vertices, bit for bit, its
-    perimeter, and its error."""
+    """clip, one ``_clip_loop`` pass and one ``_canonicalise``, gives the
+    reference clip's vertices, bit for bit, its perimeter, and its error."""
 
     @settings(max_examples=600, deadline=None)
     @given(polygon_cuts(), st.sampled_from(["minus", "plus"]))
@@ -819,44 +818,15 @@ class TestClipMatchesReference:
 
     def test_many_inherited_vertices(self):
         # Cuts of a 64-gon keep long runs of vertices whose neighbours are
-        # unchanged, which the scan skips: only the new points and their
-        # neighbours are left unflagged.
+        # unchanged, next to at most two new points.
         gon = regular_polygon(64, 10.0, (3.0, -2.0))
         rng = np.random.default_rng(23)
         for _ in range(200):
             u = Direction.from_angle(rng.uniform(0.0, 2.0 * math.pi))
             lo, hi = projection_bounds(gon.vertices, u.x, u.y)
             plane = line_at(u, lo + rng.uniform(0.0, 1.0) * (hi - lo))
-            for side, sign in (("minus", -1.0), ("plus", 1.0)):
-                s = [sign * plane.offset(v) for v in gon.vertices]
-                _, kept = _clip_loop(gon.vertices, s, 1e-9)
-                assert kept.count(False) <= 4
+            for side in ("minus", "plus"):
                 assert clip_outcome(clip, gon, plane, side) == clip_outcome(reference_clip, gon, plane, side)
-
-    @settings(max_examples=600, deadline=None)
-    @given(polygon_cuts(), st.sampled_from(["minus", "plus"]))
-    def test_flags_mark_parent_vertices_between_their_parent_neighbours(self, cut, side):
-        # The flag rule on offsets against the rule on indices: a parent
-        # vertex whose two parent neighbours are its neighbours in the child.
-        poly, plane = cut
-        verts = poly.vertices
-        sign = 1.0 if side == "plus" else -1.0
-        s = [sign * plane.offset(v) for v in verts]
-        _, kept = _clip_loop(verts, s, 1e-9)
-        # Each output vertex's index in the parent, or -1 for a new point.
-        n = len(verts)
-        src = []
-        for i in range(n):
-            si, sj = s[i], s[(i + 1) % n]
-            if si >= -1e-9:
-                src.append(i)
-            if (si > 1e-9 and sj < -1e-9) or (si < -1e-9 and sj > 1e-9):
-                src.append(-1)
-        m = len(src)
-        assert len(kept) == m
-        for k in range(m):
-            i, prev, nxt = src[k], src[k - 1], src[(k + 1) % m]
-            assert kept[k] == (i >= 0 and prev == (i - 1) % n and nxt == (i + 1) % n)
 
 
 class TestProjectionBounds:

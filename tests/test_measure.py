@@ -523,9 +523,9 @@ class TestDifferenceHull:
         # together, so a 64-gon and its translate give 64 points, not 126.
         sizes = []
 
-        def counting_loop(points, kept=(), ccw=False):
+        def counting_loop(points, ccw=False):
             sizes.append(len(points))
-            return _canonical_loop(points, kept, ccw)
+            return _canonical_loop(points, ccw)
 
         monkeypatch.setattr(geometry_module, "_canonical_loop", counting_loop)
         a = regular_polygon(64)
