@@ -22,6 +22,7 @@ from .geometry import (
     CompactSet,
     ConvexPolygon,
     Direction,
+    _number,
     box,
     compact_from_json,
     polygon_from_json,
@@ -85,13 +86,6 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("not a JSON integer")
     return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float; a string or a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a JSON number")
-    return float(value)
 
 
 def parse_body(obj) -> ConvexPolygon | CompactSet:

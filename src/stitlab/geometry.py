@@ -895,8 +895,19 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
     return {"vertices": [[x, y] for x, y in poly.vertices]}
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a JSON number")
+    return float(value)
+
+
 def polygon_from_json(obj: dict) -> ConvexPolygon:
-    return ConvexPolygon(tuple((float(x), float(y)) for x, y in obj["vertices"]))
+    """The polygon on ``obj["vertices"]``, pairs of JSON numbers."""
+    try:
+        return ConvexPolygon(tuple((_number(x), _number(y)) for x, y in obj["vertices"]))
+    except (TypeError, OverflowError) as exc:
+        raise GeometryError(f"'vertices' has a bad value {obj['vertices']!r}: {exc}") from None
 
 
 def compact_to_json(body: CompactSet) -> dict:

@@ -27,6 +27,7 @@ from .geometry import (
     Hyperplane,
     _difference_hull,
     _joint_hull,
+    _number,
     hull_of,
     perimeter,
     projection_bounds,
@@ -113,11 +114,18 @@ class DirectionalMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> DirectionalMeasure:
-        atoms = tuple(
-            (Direction.from_angle(float(a["angle_radians"])), float(a["mass"]))
-            for a in obj.get("atoms", [])
-        )
-        return cls(atoms=atoms, isotropic_mass=float(obj.get("isotropic_mass", 0.0)))
+        """The measure of ``to_json``; every mass and angle is a JSON number."""
+        fields = [("isotropic_mass", obj.get("isotropic_mass", 0.0))]
+        for a in obj.get("atoms", []):
+            fields += [("angle_radians", a["angle_radians"]), ("mass", a["mass"])]
+        numbers = []
+        for key, value in fields:
+            try:
+                numbers.append(_number(value))
+            except (TypeError, OverflowError) as exc:
+                raise MeasureError(f"{key!r} has a bad value {value!r}: {exc}") from None
+        atoms = tuple((Direction.from_angle(t), m) for t, m in zip(numbers[1::2], numbers[2::2]))
+        return cls(atoms=atoms, isotropic_mass=numbers[0])
 
 
 def isotropic_measure(total_mass: float = TWO_PI) -> DirectionalMeasure:

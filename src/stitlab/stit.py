@@ -34,6 +34,7 @@ from .geometry import (
     polygon_from_json,
     polygon_intersection,
     polygon_to_json,
+    projection_bounds,
     scale as scale_polygon,
     segment_hits_body,
 )
@@ -180,11 +181,13 @@ def _divisions(
     window's, from a caller that has checked the window's area (``HitQuery``
     does so once, at construction). Labels are unique, so entries never
     compare past the label. Once the loop is exhausted, ``live`` holds
-    exactly the cells alive at the time parameter. With ``near`` given, a
-    child is spawned only if ``near(child polygon)`` holds; a child left
-    out takes its whole subtree with it, because descendants and their
-    chords lie inside it, and every kept cell still gets exactly the draws
-    it gets in the full run.
+    exactly the cells alive at the time parameter. A line is accepted when
+    both its ``clip`` calls would return a polygon, and the event yields its
+    chord before its children exist, so a consumer that stops at a chord
+    builds neither child. With ``near`` given, a child is spawned only if
+    ``near(child polygon)`` holds; a child left out takes its whole subtree
+    with it, because descendants and their chords lie inside it, and every
+    kept cell still gets exactly the draws it gets in the full run.
     """
     window = params.window
     if root_law is None:
@@ -218,9 +221,9 @@ def _divisions(
             )
         for _ in range(64):
             plane = _sample_line(measure, poly, law, gen)
-            minus = clip(poly, plane, "minus")
-            plus = clip(poly, plane, "plus")
-            if minus is not None and plus is not None:
+            # Both clips non-None: their offsets round q - r, monotone in q.
+            lo, hi = projection_bounds(poly.vertices, plane.u.x, plane.u.y)
+            if hi - plane.r > EPS and plane.r - lo > EPS:
                 break
         else:
             raise GeometryError(
@@ -229,8 +232,8 @@ def _divisions(
             )
 
         yield death, chord(poly, plane)
-        spawn(2 * label, minus, death)
-        spawn(2 * label + 1, plus, death)
+        spawn(2 * label, clip(poly, plane, "minus"), death)
+        spawn(2 * label + 1, clip(poly, plane, "plus"), death)
 
 
 def simulate(params: SimulationParams) -> Tessellation:
@@ -529,9 +532,10 @@ class HitQuery:
         cell and every cell's draws are keyed by (seed, label) alone, so the
         run expands only cells whose bounding box meets a piece's reach box
         widened by PRUNE_MARGIN (``_near_test``), and returns at the first
-        event whose chord meets a body (events pop in time order).
-        Consequently ``EVENT_CAP`` counts expanded events only, and cells
-        that are never expanded cannot fail.
+        event whose chord meets a body (events pop in time order). That
+        event clips nothing: ``_divisions`` yields a chord before it builds
+        the children. Consequently ``EVENT_CAP`` counts expanded events
+        only, and cells that are never expanded cannot fail.
         """
         params = SimulationParams(self.window, time, measure, seed)
         return self._first_hit(params, [], self._root_law(measure))

@@ -334,6 +334,32 @@ class TestBadInput:
         assert main(["capacity", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: config key 'id' has a bad value {query_id!r}")
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("set", {"vertices": [["0", "0"], [True, 0], [1, "1e0"], [0, 1]]}, "vertices"),
+            ("set", {"pieces": [{"vertices": [[0, 0], [1, 0], [1, True]]}]}, "vertices"),
+            ("set", {"vertices": [[10**400, 0], [1, 0], [1, 1]]}, "vertices"),
+            ("window", {"vertices": [[-1, -1], [2, -1], [2, "2"], [-1, 2]]}, "vertices"),
+            ("measure", {"isotropic_mass": "6.283185307179586"}, "isotropic_mass"),
+            ("measure", {"isotropic_mass": 10**400}, "isotropic_mass"),
+            ("measure", {"atoms": [{"angle_radians": True, "mass": 0.5}, {"angle_radians": math.pi, "mass": 0.5}]},
+             "angle_radians"),
+            ("measure", {"atoms": [{"angle_radians": 0.0, "mass": False}, {"angle_radians": math.pi, "mass": False}]},
+             "mass"),
+        ],
+        ids=["vertex-strings", "piece-vertex-bool", "vertex-overflow", "window-vertex-string", "isotropic-string",
+             "isotropic-overflow", "angle-bool", "mass-bool"],
+    )
+    def test_body_and_measure_numbers_name_their_field(self, tmp_path, capsys, key, value, field):
+        config = {"measure": ISO_MEASURE, "set": "unit_square", "a": 0.5, "n": 2, "seed": 1}
+        config["window"] = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}
+        config[key] = value
+        cfg = write_config(tmp_path, "b.json", config)
+        assert main(["capacity", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{field!r} has a bad value" in err
+
     @pytest.mark.parametrize("command", ["simulate", "capacity", "iterate"])
     def test_window_must_be_a_polygon_with_area(self, tmp_path, command):
         square = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -30,8 +31,11 @@ from stitlab.geometry import (
     ConvexPolygon,
     Direction,
     GeometryError,
+    Hyperplane,
     area,
     box,
+    chord,
+    clip,
     contains_point,
     convex_hull,
     dilate,
@@ -40,6 +44,7 @@ from stitlab.geometry import (
     interior_clearance,
     polygon_intersection,
     polygon_to_json,
+    projection_bounds,
     regular_polygon,
     segment_hits_body,
     translate,
@@ -186,14 +191,22 @@ class TestSimulate:
 
 
 class TestEventCalls:
-    """Each draw of a dividing line makes two ``stit.clip`` calls and each
-    event one ``stit.chord`` call: the benchmark's tracer counts division
+    """Each event draws lines (``stit._sample_line``) on the popped cell until
+    one divides it, then makes one ``stit.chord`` call of that cell by that
+    line. If the run goes on, one ``minus`` and one ``plus`` ``stit.clip``
+    call of the same cell by the same line follow, both non-None; a run that
+    stops at the chord clips nothing. The benchmark's tracer counts division
     events on ``chord`` and reads clips per event from ``clip``."""
 
     @staticmethod
     def record(monkeypatch):
         calls = []
-        clip, chord = stit_mod.clip, stit_mod.chord
+        sample_line, clip, chord = stit_mod._sample_line, stit_mod.clip, stit_mod.chord
+
+        def line_spy(measure, poly, law, gen):
+            plane = sample_line(measure, poly, law, gen)
+            calls.append(("line", poly, plane))
+            return plane
 
         def clip_spy(poly, plane, side):
             out = clip(poly, plane, side)
@@ -204,35 +217,48 @@ class TestEventCalls:
             calls.append(("chord", poly, plane))
             return chord(poly, plane)
 
+        monkeypatch.setattr(stit_mod, "_sample_line", line_spy)
         monkeypatch.setattr(stit_mod, "clip", clip_spy)
         monkeypatch.setattr(stit_mod, "chord", chord_spy)
         return calls
 
     @staticmethod
     def events(calls):
-        """Events in the call log, checking its shape: per draw a minus and a
-        plus clip of one cell by one line, and after the draw whose children
-        are both non-empty one chord of that cell by that line."""
+        """(events, draws, stops) in the call log, checking its shape: per
+        event one or more lines drawn on one cell, one chord of that cell by
+        the last of them, then either a minus and a plus clip of that cell by
+        that line, both non-None, or the next run's first draw or the log's
+        end. ``stops`` lists the (cell, line) of each chord a run stopped at."""
         events = draws = i = 0
+        stops = []
         while i < len(calls):
-            (k1, poly, plane, side1, minus), (k2, poly2, plane2, side2, plus) = calls[i], calls[i + 1]
-            assert (k1, side1, k2, side2) == ("clip", "minus", "clip", "plus")
-            assert poly2 is poly and plane2 is plane
-            draws += 1
-            i += 2
-            if minus is not None and plus is not None:
-                assert calls[i] == ("chord", poly, plane)
-                events += 1
+            poly = calls[i][1]
+            while i < len(calls) and calls[i][0] == "line":
+                assert calls[i][1] is poly
+                plane = calls[i][2]
+                draws += 1
                 i += 1
-        return events, draws
+            kind, poly2, plane2 = calls[i]
+            assert kind == "chord" and poly2 is poly and plane2 is plane
+            events += 1
+            i += 1
+            if i < len(calls) and calls[i][0] == "clip":
+                (k1, poly1, plane1, side1, minus), (k2, poly2, plane2, side2, plus) = calls[i], calls[i + 1]
+                assert (k1, side1, k2, side2) == ("clip", "minus", "clip", "plus")
+                assert poly1 is poly2 is poly and plane1 is plane2 is plane
+                assert minus is not None and plus is not None
+                i += 2
+            else:
+                stops.append((poly, plane))
+        return events, draws, stops
 
     @pytest.mark.parametrize("measure_name", ["isotropic", "axis", "mixed"])
     def test_simulate(self, measure_name, monkeypatch):
         calls = self.record(monkeypatch)
         t = simulate(params(box(0, 0, 8, 8), 1.5, QUERY_MEASURES[measure_name], 21))
-        events, draws = self.events(calls)
+        events, draws, stops = self.events(calls)
         # Each event turns one live cell into two.
-        assert events == len(t.cells) - 1 > 10 and draws >= events
+        assert events == len(t.cells) - 1 > 10 and draws >= events and stops == []
 
     def test_query_driven_and_nested_runs(self, iso, monkeypatch):
         square = box(0.0, 0.0, 1.0, 1.0)
@@ -240,8 +266,113 @@ class TestEventCalls:
         calls = self.record(monkeypatch)
         for seed in range(5):
             query.first_hit_nested(0.3, 0.3, iso, seed, seed)
-        events, _ = self.events(calls)
+        events, _, _ = self.events(calls)
         assert events > 0
+
+    def test_a_run_stops_at_the_hitting_chord(self, iso, monkeypatch):
+        # A run that returns at a hit clips nothing of the hitting event: the
+        # last logged call of first_hit is that event's chord.
+        square = box(0.0, 0.0, 1.0, 1.0)
+        query = HitQuery(box(-1.0, -1.0, 2.0, 2.0), [square])
+        calls = self.record(monkeypatch)
+        outer = inner = 0
+        for seed in range(40):
+            for nested in (False, True):
+                calls.clear()
+                if nested:
+                    hit = query.first_hit_nested(0.3, 0.3, iso, seed, seed)
+                else:
+                    hit = query.first_hit(0.3, iso, seed)
+                _, _, stops = self.events(calls)
+                if hit == math.inf:
+                    assert stops == []
+                    continue
+                assert stops and all(segment_hits_body(*chord(*stop), square) for stop in stops)
+                if hit <= 0.3:
+                    assert calls[-1] == ("chord", *stops[-1]) and len(stops) == 1
+                    outer += 1
+                else:
+                    inner += 1
+        assert outer > 10 and inner > 0
+
+
+class TestAcceptedLine:
+    """``_divisions`` accepts a drawn line exactly when both of its ``clip``
+    sides are non-None. Scripted lines at and next to the EPS margins of
+    slivers, EPS-thin cells and boxes, near and far from the origin, run
+    through the real loop."""
+
+    CELLS = {
+        "sliver": ConvexPolygon(((0.0, 0.0), (1.0, -1e-5), (1.0, 1e-5))),
+        "thin": box(0.0, 0.0, 1.0, 2.5 * EPS),
+        "box": box(0.0, 0.0, 1.0, 1.0),
+    }
+    ANGLES = (0.0, math.pi / 2, 1e-7, 0.3, 2.0, 4.0)
+
+    @staticmethod
+    def lines(cell, theta):
+        """Lines of normal angle theta at hi - k EPS and lo + k EPS, and their ulp neighbours."""
+        u = Direction.from_angle(theta)
+        lo, hi = projection_bounds(cell.vertices, u.x, u.y)
+        out = []
+        for k in (0.0, 0.5, 1.0, 1.5, 2.0):
+            for c0 in (hi - k * EPS, lo + k * EPS):
+                for c in (math.nextafter(c0, -math.inf), c0, math.nextafter(c0, math.inf)):
+                    out.append(Hyperplane(c, u) if c >= 0.0 else Hyperplane(-c, Direction(-u.x, -u.y)))
+        return out
+
+    @staticmethod
+    def divides(cell, plane):
+        # clip returns None only from its offset test; a side whose loop then
+        # fails to canonicalise (an origin defect) is not None.
+        for side in ("minus", "plus"):
+            try:
+                if clip(cell, plane, side) is None:
+                    return False
+            except GeometryError:
+                pass
+        return True
+
+    @staticmethod
+    def first_event(cell, script, monkeypatch):
+        """The lines the loop draws from ``script`` in the window ``cell`` until
+        its first chord, or None when 64 refused lines raise its named error."""
+        drawn = []
+        lines = itertools.cycle(script)
+
+        def scripted(measure, poly, law, gen):
+            assert poly is cell
+            drawn.append(next(lines))
+            return drawn[-1]
+
+        monkeypatch.setattr(stit_mod, "_sample_line", scripted)
+        iso = isotropic_measure()
+        run = stit_mod._divisions(params(cell, 1e9, iso, 0), [], None, stit_mod._hitting_law(iso, cell))
+        try:
+            _, cut = next(run)
+        except GeometryError as exc:
+            assert "could not draw a dividing line" in str(exc) and len(drawn) == 64
+            return None
+        assert cut == chord(cell, drawn[-1])
+        return drawn
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_accepts_the_first_line_both_clips_keep(self, name, offset, monkeypatch):
+        cell = translate(self.CELLS[name], (offset, offset))
+        accepted = refused = 0
+        for theta in self.ANGLES:
+            lines = self.lines(cell, theta)
+            for plane in lines:
+                divides = self.divides(cell, plane)
+                assert self.first_event(cell, [plane], monkeypatch) == ([plane] if divides else None)
+                accepted += divides
+                refused += not divides
+            for script in (lines, lines[::-1]):
+                first = next((i for i, plane in enumerate(script) if self.divides(cell, plane)), None)
+                expected = None if first is None else script[: first + 1]
+                assert self.first_event(cell, script, monkeypatch) == expected
+        assert accepted > 0 and refused > 0
 
 
 class TestRequireInterior:
