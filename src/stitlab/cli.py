@@ -22,6 +22,7 @@ from .geometry import (
     CompactSet,
     ConvexPolygon,
     Direction,
+    _integer,
     _number,
     box,
     compact_from_json,
@@ -56,36 +57,29 @@ class BadInput(ValueError):
 
 
 def _load_config(path: str | None) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; anything else is bad input."""
     if path is None:
         raise BadInput("--config PATH is required for this command")
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise BadInput(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise BadInput(f"cannot read config: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadInput(f"config is not valid JSON: {exc}")
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise BadInput(f"config is missing required key {key!r}")
-    return config[key]
+    if not isinstance(config, dict):
+        raise BadInput(f"config is not a JSON object: {json.dumps(config)}")
+    return config
 
 
 def _parse(config: dict, key: str, kind):
-    """``kind(config[key])``, where a value of the wrong type is bad input naming the key."""
-    value = _require(config, key)
+    """``kind(config[key])``, where a missing key or a value ``kind`` refuses is bad input naming the key."""
+    if key not in config:
+        raise BadInput(f"config is missing required key {key!r}")
+    value = config[key]
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
         raise BadInput(f"config key {key!r} has a bad value {value!r}: {exc}")
-
-
-def _integer(value) -> int:
-    """A JSON integer as it is; a float, a string or a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("not a JSON integer")
-    return value
 
 
 def parse_body(obj) -> ConvexPolygon | CompactSet:
@@ -95,15 +89,12 @@ def parse_body(obj) -> ConvexPolygon | CompactSet:
             raise BadInput(f"unknown shape {obj!r}; builtins: {sorted(BUILTIN_SHAPES)}")
         return BUILTIN_SHAPES[obj]()
     if isinstance(obj, dict):
-        try:
-            if "pieces" in obj:
-                return compact_from_json(obj)
-            if "vertices" in obj:
-                return polygon_from_json(obj)
-            if "shape" in obj:
-                return parse_body(obj["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadInput(f"bad body specification: {exc}")
+        if "pieces" in obj:
+            return compact_from_json(obj)
+        if "vertices" in obj:
+            return polygon_from_json(obj)
+        if "shape" in obj:
+            return parse_body(obj["shape"])
     raise BadInput("a body needs 'vertices', 'pieces', or a builtin 'shape' name")
 
 
@@ -113,13 +104,6 @@ def parse_window(obj) -> ConvexPolygon:
     if isinstance(window, CompactSet) or len(window.vertices) < 3:
         raise BadInput("window must be a convex polygon with positive area")
     return window
-
-
-def parse_measure(obj) -> DirectionalMeasure:
-    try:
-        return DirectionalMeasure.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad measure: {exc}")
 
 
 def _resolve_seed(config: dict, args) -> int:
@@ -134,7 +118,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _csv_header_lines(config: dict, no_timestamp: bool) -> list[str]:
@@ -146,8 +130,8 @@ def _csv_header_lines(config: dict, no_timestamp: bool) -> list[str]:
 
 def cmd_measure(args) -> int:
     config = _load_config(args.config)
-    measure = parse_measure(_require(config, "measure"))
-    body = parse_body(_require(config, "set"))
+    measure = _parse(config, "measure", DirectionalMeasure.from_json)
+    body = _parse(config, "set", parse_body)
     grid = [k * math.pi / 8.0 for k in range(16)]
     report = {
         "config": config,
@@ -165,8 +149,8 @@ def cmd_measure(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    measure = parse_measure(_require(config, "measure"))
-    window = parse_window(_require(config, "window"))
+    measure = _parse(config, "measure", DirectionalMeasure.from_json)
+    window = _parse(config, "window", parse_window)
     seed = _resolve_seed(config, args)
     tess = simulate(
         SimulationParams(
@@ -176,18 +160,18 @@ def cmd_simulate(args) -> int:
     doc = {"config": {**config, "seed": seed}, "tessellation": tessellation_to_json(tess)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.svg is not None:
-        Path(args.svg).write_text(render_svg(tess))
+        Path(args.svg).write_text(render_svg(tess), encoding="utf-8")
     return 0
 
 
 def cmd_capacity(args) -> int:
     config = _load_config(args.config)
-    measure = parse_measure(_require(config, "measure"))
-    body = parse_body(_require(config, "set"))
+    measure = _parse(config, "measure", DirectionalMeasure.from_json)
+    body = _parse(config, "set", parse_body)
     seed = _resolve_seed(config, args)
     n = args.n if args.n is not None else _parse(config, "n", _integer)
     a = _parse(config, "a", _number)
-    window = parse_window(config["window"]) if "window" in config else None
+    window = _parse(config, "window", parse_window) if "window" in config else None
     query_id = str(config.get("id", "query"))
     if any(c in query_id for c in ',"\r\n'):
         raise BadInput(f"config key 'id' has a bad value {query_id!r}: a CSV field holds no comma, quote or line break")
@@ -215,14 +199,14 @@ def cmd_capacity(args) -> int:
 
 def cmd_mixing(args) -> int:
     config = _load_config(args.config)
-    measure = parse_measure(_require(config, "measure"))
+    measure = _parse(config, "measure", DirectionalMeasure.from_json)
     seed = _resolve_seed(config, args)
     mc_n = args.n
     if mc_n is None and config.get("mc_n") is not None:
         mc_n = _parse(config, "mc_n", _integer)
     sweep_config = SweepConfig(
-        body_a=parse_body(_require(config, "A")),
-        body_b=parse_body(_require(config, "B")),
+        body_a=_parse(config, "A", parse_body),
+        body_b=_parse(config, "B", parse_body),
         direction=_parse(config, "direction", lambda v: Direction(*(_number(c) for c in v))),
         distances=_parse(config, "distances", lambda v: tuple(_number(h) for h in v)),
         time=_parse(config, "a", _number),
@@ -240,9 +224,9 @@ def cmd_mixing(args) -> int:
 
 def cmd_iterate(args) -> int:
     config = _load_config(args.config)
-    measure = parse_measure(_require(config, "measure"))
-    window = parse_window(_require(config, "window"))
-    body = parse_body(_require(config, "set"))
+    measure = _parse(config, "measure", DirectionalMeasure.from_json)
+    window = _parse(config, "window", parse_window)
+    body = _parse(config, "set", parse_body)
     seed = _resolve_seed(config, args)
     n = args.n if args.n is not None else _parse(config, "n", _integer)
     a = _parse(config, "a", _number)

@@ -902,8 +902,17 @@ def _number(value) -> float:
     return float(value)
 
 
+def _integer(value) -> int:
+    """A JSON integer as it is; a float, a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
 def polygon_from_json(obj: dict) -> ConvexPolygon:
     """The polygon on ``obj["vertices"]``, pairs of JSON numbers."""
+    if not isinstance(obj, dict):
+        raise GeometryError(f"a polygon is a JSON object, not {obj!r}")
     try:
         return ConvexPolygon(tuple((_number(x), _number(y)) for x, y in obj["vertices"]))
     except (TypeError, OverflowError) as exc:
@@ -915,4 +924,7 @@ def compact_to_json(body: CompactSet) -> dict:
 
 
 def compact_from_json(obj: dict) -> CompactSet:
+    """The set on ``obj["pieces"]``, an array of polygons."""
+    if not isinstance(obj, dict):
+        raise GeometryError(f"a compact set is a JSON object, not {obj!r}")
     return CompactSet(tuple(polygon_from_json(p) for p in obj["pieces"]))

@@ -114,15 +114,22 @@ class DirectionalMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> DirectionalMeasure:
-        """The measure of ``to_json``; every mass and angle is a JSON number."""
+        """The measure of ``to_json``; every mass and angle is a JSON number, and every angle is finite."""
+        if not isinstance(obj, dict):
+            raise MeasureError(f"a measure is a JSON object, not {obj!r}")
+        atoms = obj.get("atoms", [])
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+            raise MeasureError(f"'atoms' has a bad value {atoms!r}: not an array of objects")
         fields = [("isotropic_mass", obj.get("isotropic_mass", 0.0))]
-        for a in obj.get("atoms", []):
+        for a in atoms:
             fields += [("angle_radians", a["angle_radians"]), ("mass", a["mass"])]
         numbers = []
         for key, value in fields:
             try:
                 numbers.append(_number(value))
-            except (TypeError, OverflowError) as exc:
+                if key == "angle_radians" and not math.isfinite(numbers[-1]):
+                    raise ValueError("not a finite angle")
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MeasureError(f"{key!r} has a bad value {value!r}: {exc}") from None
         atoms = tuple((Direction.from_angle(t), m) for t, m in zip(numbers[1::2], numbers[2::2]))
         return cls(atoms=atoms, isotropic_mass=numbers[0])

@@ -24,6 +24,8 @@ from .geometry import (
     GeometryError,
     Point,
     _bounds,
+    _integer,
+    _number,
     area,
     chord,
     clip,
@@ -41,7 +43,7 @@ from .geometry import (
 from .measure import DirectionalMeasure, _hitting_law, _sample_line
 
 # Hard cap on processed division events; misconfigured huge a * Lambda([W])
-# aborts with a diagnostic instead of running away.
+# raises a ValueError naming the cap instead of running away.
 EVENT_CAP = 10_000_000
 
 _MASK64 = (1 << 64) - 1
@@ -215,7 +217,7 @@ def _divisions(
         death, label, poly, _, gen, law = heapq.heappop(live)
         events += 1
         if events > EVENT_CAP:
-            raise RuntimeError(
+            raise ValueError(
                 f"event cap {EVENT_CAP} exceeded at t={death:.6g}; "
                 "a * Lambda([W]) is likely misconfigured"
             )
@@ -608,27 +610,33 @@ def tessellation_to_json(tess: Tessellation) -> dict:
 
 
 def tessellation_from_json(obj: dict) -> Tessellation:
+    """The tessellation of ``tessellation_to_json``: ids are JSON integers, times and coordinates JSON numbers."""
+
+    def read(record: dict, key: str, kind):
+        value = record[key]
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GeometryError(f"{key!r} has a bad value {value!r}: {exc}") from None
+
+    def point(value) -> Point:
+        x, y = value
+        return (_number(x), _number(y))
+
     cells = tuple(
         Cell(
-            id=int(c["id"]),
-            parent_id=int(c["parent"]),
+            id=read(c, "id", _integer),
+            parent_id=read(c, "parent", _integer),
             polygon=polygon_from_json(c["polygon"]),
-            birth_time=float(c["birth"]),
-            death_time=float(c["death"]),
+            birth_time=read(c, "birth", _number),
+            death_time=read(c, "death", _number),
         )
         for c in obj["cells"]
     )
-    edges = tuple(
-        Edge(
-            (float(e["a"][0]), float(e["a"][1])),
-            (float(e["b"][0]), float(e["b"][1])),
-            float(e["time"]),
-        )
-        for e in obj["internal_edges"]
-    )
+    edges = tuple(Edge(read(e, "a", point), read(e, "b", point), read(e, "time", _number)) for e in obj["internal_edges"])
     return Tessellation(
         window=polygon_from_json(obj["window"]),
-        time=float(obj["time"]),
+        time=read(obj, "time", _number),
         cells=cells,
         internal_edges=edges,
     )

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from conftest import read_tessellation_file
+from test_imports import run_python
+import stitlab.stit as stit_mod
 from stitlab.cli import main
 
 ISO_MEASURE = {"isotropic_mass": 6.283185307179586, "atoms": []}
@@ -224,6 +226,23 @@ class TestValidateCommand:
         assert main(["validate", "bogus"]) == 2
 
 
+COMMANDS = ["measure", "simulate", "capacity", "mixing", "iterate"]
+
+
+def every_key():
+    """A config every command accepts."""
+    config = {"measure": ISO_MEASURE, "set": "unit_square", "A": "unit_segment", "B": "unit_segment"}
+    config.update(a=0.5, a2=0.5, n=2, mc_n=2, seed=1, direction=[1, 0], distances=[5.0])
+    config["window"] = {"vertices": [[-1, -1], [2, -1], [2, 2], [-1, 2]]}
+    return config
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestBadInput:
     def test_missing_config(self):
         assert main(["measure"]) == 2
@@ -347,9 +366,16 @@ class TestBadInput:
              "angle_radians"),
             ("measure", {"atoms": [{"angle_radians": 0.0, "mass": False}, {"angle_radians": math.pi, "mass": False}]},
              "mass"),
+            ("measure", {"atoms": {"a": 1}}, "atoms"),
+            ("measure", {"atoms": [[0.0, 0.5], [math.pi, 0.5]]}, "atoms"),
+            # json.dumps writes inf as Infinity, which json.loads reads as inf, as it reads 1e999.
+            ("measure", {"atoms": [{"angle_radians": math.inf, "mass": 0.5}, {"angle_radians": 0.0, "mass": 0.5}]},
+             "angle_radians"),
+            ("measure", {"atoms": [{"angle_radians": math.nan, "mass": 0.5}, {"angle_radians": 0.0, "mass": 0.5}]},
+             "angle_radians"),
         ],
         ids=["vertex-strings", "piece-vertex-bool", "vertex-overflow", "window-vertex-string", "isotropic-string",
-             "isotropic-overflow", "angle-bool", "mass-bool"],
+             "isotropic-overflow", "angle-bool", "mass-bool", "atoms-object", "atom-array", "angle-inf", "angle-nan"],
     )
     def test_body_and_measure_numbers_name_their_field(self, tmp_path, capsys, key, value, field):
         config = {"measure": ISO_MEASURE, "set": "unit_square", "a": 0.5, "n": 2, "seed": 1}
@@ -368,3 +394,66 @@ class TestBadInput:
             config.update(a=0.1, a2=0.1, n=2, seed=1)
             cfg = write_config(tmp_path, "w.json", config)
             assert main([command, "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text", ["5", "null", '"measure set"'], ids=["number", "null", "string"])
+    def test_config_that_is_not_a_json_object(self, tmp_path, capsys, command, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        one_error_line(capsys)
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(json.dumps({**every_key(), "id": "café"}, ensure_ascii=False).encode("latin-1"))
+        assert main(["capacity", "--config", str(path)]) == 2
+        assert one_error_line(capsys).startswith("error: config is not valid JSON: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_as_config(self, tmp_path, capsys, command):
+        assert main([command, "--config", str(tmp_path)]) == 2
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("measure", [[1, 2], "iso", None], ids=["array", "string", "null"])
+    def test_measure_that_is_not_an_object_names_measure(self, tmp_path, capsys, command, measure):
+        cfg = write_config(tmp_path, "c.json", {**every_key(), "measure": measure})
+        assert main([command, "--config", cfg]) == 2
+        assert one_error_line(capsys).startswith("error: config key 'measure' has a bad value")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("measure", "set", {"pieces": [5]}), ("capacity", "set", {"pieces": 5}), ("iterate", "set", {"pieces": [{}]}),
+         ("measure", "set", {"shape": 5}), ("mixing", "A", {"vertices": [[0, 0, 0]]}),
+         ("simulate", "window", {"vertices": 5}), ("measure", "measure", {"atoms": [{"mass": 1.0}]})],
+        ids=["piece-number", "pieces-number", "piece-without-vertices", "shape-number", "vertex-triple",
+             "vertices-number", "atom-without-angle"],
+    )
+    def test_body_that_cannot_be_read_names_its_key(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, "c.json", {**every_key(), key: value})
+        assert main([command, "--config", cfg]) == 2
+        assert one_error_line(capsys).startswith(f"error: config key {key!r} has a bad value")
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", {"measure": ISO_MEASURE, "window": {"vertices": [[0, 0], [10, 0], [10, 10], [0, 10]]},
+                          "a": 2.0, "seed": 3}),
+            ("capacity", {"measure": ISO_MEASURE, "set": {"vertices": [[0.3, 0.2]]}, "a": 3.0, "n": 5, "seed": 1}),
+        ],
+    )
+    def test_event_cap_is_bad_input(self, tmp_path, capsys, monkeypatch, command, config):
+        monkeypatch.setattr(stit_mod, "EVENT_CAP", 5)
+        assert main([command, "--config", write_config(tmp_path, "c.json", config)]) == 2
+        assert one_error_line(capsys).startswith("error: event cap 5 exceeded at t=")
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        config = {"id": "café", "measure": ISO_MEASURE, "set": "unit_square", "a": 0.5, "n": 5, "seed": 1}
+        (tmp_path / "c.json").write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
+        code = (
+            "import sys; from stitlab.cli import main; "
+            "sys.exit(main(['capacity', '--config', 'c.json', '--no-timestamp', '--out', 'c.csv']))"
+        )
+        result = run_python(code, tmp_path, LC_ALL="C", PYTHONUTF8="0")
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8").splitlines()[2].startswith("café,0.5,5,")

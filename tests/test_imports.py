@@ -93,10 +93,10 @@ def test_every_definition_is_read():
     assert unread_definitions(sources) == []
 
 
-def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the package from this checkout."""
+def run_python(code: str, cwd: Path, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from this checkout, with ``env`` set."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 

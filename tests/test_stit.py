@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestSimulate:
 
     def test_event_cap(self, iso, monkeypatch):
         monkeypatch.setattr(stit_mod, "EVENT_CAP", 5)
-        with pytest.raises(RuntimeError, match="event cap"):
+        with pytest.raises(ValueError, match="event cap"):
             simulate(params(box(0, 0, 10, 10), 2.0, iso, 3))
 
     def test_undividable_cell_is_a_geometry_error(self, iso, axes):
@@ -551,6 +552,21 @@ class TestJsonRoundTrip:
         assert again.time == t.time
         assert [c.polygon for c in again.cells] == [c.polygon for c in t.cells]
         assert again.internal_edges == t.internal_edges
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("cell", "id", "7"), ("cell", "id", 2.9), ("cell", "parent", True), ("cell", "birth", True),
+         ("cell", "death", "inf"), ("tess", "time", False), ("edge", "time", "0.5"), ("edge", "a", ["0", 1.0]),
+         ("edge", "b", [0.0, 1.0, 2.0])],
+        ids=["id-string", "id-float", "parent-bool", "birth-bool", "death-string", "time-bool", "edge-time-string",
+             "edge-point-string", "edge-point-triple"],
+    )
+    def test_fields_take_only_json_numbers(self, iso, where, key, value):
+        doc = tessellation_to_json(simulate(params(box(0, 0, 3, 3), 0.8, iso, 81)))
+        record = {"tess": doc, "cell": doc["cells"][-1], "edge": doc["internal_edges"][-1]}[where]
+        record[key] = value
+        with pytest.raises(GeometryError, match=f"^{key!r} has a bad value {re.escape(repr(value))}: "):
+            tessellation_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
